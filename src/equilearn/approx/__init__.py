@@ -3,15 +3,14 @@ from .checkpoint import (CheckpointMeta, load_checkpoint, load_model,
 from .codec import SupportCodec, scalar_to_support, support_to_scalar
 from .mlp import MlpModel, TrainingDivergedError, train_epochs
 from .models import (ComposedModel, PolicyModel, QValueModel, ValueModel,
-                     encode_joint, joint_encoding_size, train_policy,
-                     train_regression)
+                     encode_joint, joint_encoding_size)
 from .tabular import TabularQ, fit_tabular
 
 __all__ = [
     "MlpModel", "ComposedModel", "QValueModel", "PolicyModel", "ValueModel",
     "SupportCodec", "scalar_to_support", "support_to_scalar",
     "TabularQ", "fit_tabular", "TrainingDivergedError",
-    "train_regression", "train_policy", "train_epochs",
+    "train_epochs",
     "encode_joint", "joint_encoding_size",
     "save_checkpoint", "load_checkpoint", "save_model", "load_model",
     "CheckpointMeta",

@@ -9,13 +9,13 @@ a save -> load -> save roundtrip is byte-exact.
 
 from __future__ import annotations
 
-import os
+import io
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..harness import write_atomic
 from .codec import SupportCodec
 from .models import ComposedModel, PolicyModel, QValueModel, ValueModel
 
@@ -61,40 +61,33 @@ def _r_ints(fh):
 
 def save_checkpoint(path: str, meta: CheckpointMeta, arrays):
     """Write atomically: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<H", VERSION))
-            _w_str(fh, meta.game)
-            fh.write(struct.pack("<i", meta.player))
-            fh.write(struct.pack("<i", meta.timestep))
-            _w_str(fh, meta.model_kind)
-            _w_str(fh, meta.head_kind)
-            if meta.codec is not None:
-                fh.write(struct.pack("<B", 1))
-                fh.write(struct.pack("<i", meta.codec.num_bins))
-                fh.write(struct.pack("<d", meta.codec.lo))
-                fh.write(struct.pack("<d", meta.codec.hi))
-            else:
-                fh.write(struct.pack("<B", 0))
-            _w_ints(fh, meta.trunk_dims)
-            _w_ints(fh, meta.head_dims)
-            _w_ints(fh, meta.action_counts)
-            fh.write(struct.pack("<B", 1 if meta.dense_actions else 0))
-            fh.write(struct.pack("<I", len(arrays)))
-            for arr in arrays:
-                arr32 = np.ascontiguousarray(arr, dtype="<f4")
-                fh.write(struct.pack("<B", arr32.ndim))
-                for d in arr32.shape:
-                    fh.write(struct.pack("<i", d))
-                fh.write(arr32.tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    fh = io.BytesIO()
+    fh.write(MAGIC)
+    fh.write(struct.pack("<H", VERSION))
+    _w_str(fh, meta.game)
+    fh.write(struct.pack("<i", meta.player))
+    fh.write(struct.pack("<i", meta.timestep))
+    _w_str(fh, meta.model_kind)
+    _w_str(fh, meta.head_kind)
+    if meta.codec is not None:
+        fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<i", meta.codec.num_bins))
+        fh.write(struct.pack("<d", meta.codec.lo))
+        fh.write(struct.pack("<d", meta.codec.hi))
+    else:
+        fh.write(struct.pack("<B", 0))
+    _w_ints(fh, meta.trunk_dims)
+    _w_ints(fh, meta.head_dims)
+    _w_ints(fh, meta.action_counts)
+    fh.write(struct.pack("<B", 1 if meta.dense_actions else 0))
+    fh.write(struct.pack("<I", len(arrays)))
+    for arr in arrays:
+        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        fh.write(struct.pack("<B", arr32.ndim))
+        for d in arr32.shape:
+            fh.write(struct.pack("<i", d))
+        fh.write(arr32.tobytes())
+    write_atomic(path, fh.getvalue())
 
 
 def load_checkpoint(path: str):

@@ -9,7 +9,6 @@ Everything is plain numpy with manual backprop. Heads:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

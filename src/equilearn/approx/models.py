@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .codec import SupportCodec, scalar_to_support, support_to_scalar
-from .mlp import MlpModel, TrainingDivergedError, _batches, _softmax
+from .codec import SupportCodec, scalar_to_support
+from .mlp import MlpModel, TrainingDivergedError, _batches
 
 
 def encode_joint_factored(joint, action_counts) -> np.ndarray:
@@ -193,23 +193,3 @@ class PolicyModel:
     def fit(self, obs, target_policies, epochs, batch_size, rng):
         return self.net.fit(obs, None, np.asarray(target_policies),
                             epochs, batch_size, rng)
-
-
-def train_regression(model: MlpModel, data, codec: SupportCodec, epochs,
-                     batch_size, rng) -> float:
-    """Train a plain support-head MLP on (input, scalar target) pairs."""
-    x = np.stack([np.asarray(a, dtype=float) for a, _ in data])
-    y = np.array([float(b) for _, b in data])
-    targets = scalar_to_support(codec, y)
-    from .mlp import train_epochs
-    return train_epochs(model, x, targets, epochs, batch_size, rng)
-
-
-def train_policy(model: MlpModel, data, epochs, batch_size, rng) -> float:
-    """Train a plain policy-head MLP on (input, simplex target) pairs."""
-    x = np.stack([np.asarray(a, dtype=float) for a, _ in data])
-    p = np.stack([np.asarray(b, dtype=float) for _, b in data])
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("policy targets must sum to 1")
-    from .mlp import train_epochs
-    return train_epochs(model, x, p, epochs, batch_size, rng)

@@ -6,7 +6,7 @@ action) space is enumerable; lookup keys are (state key, joint action).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

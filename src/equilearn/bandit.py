@@ -5,12 +5,16 @@ Weights live in log-space: the multiplicative update w <- w * exp(-eta
 normalize with a max shift when converting to a policy. The loss
 estimator uses implicit exploration: l_hat = l / (p + gamma_ix) on the
 chosen arm only.
+
+The module also holds the one rule by which every agent, rollout and
+search draws an action from weights (:func:`legal_policy`,
+:func:`sample_index`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +65,30 @@ def policy_from_weights(row: WeightRow, mask: np.ndarray | None = None
     shifted = lw - lw.max()
     w = np.exp(shifted)
     return w / w.sum()
+
+
+def legal_policy(weights, legal) -> np.ndarray:
+    """``weights`` restricted to the ``legal`` arms, clipped at zero and
+    normalized; uniform over the legal arms when none has mass."""
+    w = np.asarray(weights, dtype=float)
+    mask = np.zeros(len(w), dtype=bool)
+    mask[list(legal)] = True
+    w = np.where(mask, np.maximum(w, 0.0), 0.0)
+    total = w.sum()
+    return w / total if total > 0.0 else mask / mask.sum()
+
+
+def sample_index(weights, rng: np.random.Generator) -> int:
+    """Index drawn in proportion to nonnegative ``weights`` with one
+    uniform draw; a zero-weight index is never returned.
+
+    The cumulative sum is rescaled to end at exactly 1, so a draw
+    ``u`` in [0, 1) picks the index ``k`` with ``c[k-1] <= u < c[k]``,
+    which has positive weight.
+    """
+    c = np.cumsum(weights, dtype=float)
+    c /= c[-1]
+    return int(np.searchsorted(c, rng.random(), side="right"))
 
 
 def ix_update(row: WeightRow, chosen: int, loss: float, p_chosen: float,

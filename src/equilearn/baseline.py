@@ -17,13 +17,14 @@ import numpy as np
 
 from . import harness
 from .approx import PolicyModel, SupportCodec, ValueModel
+from .bandit import legal_policy, sample_index
 from .cce import normalize_losses
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
                    generate_tree, replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState
-from .trainer import GateDecision, validation_gate
+from .trainer import GateDecision, share_mode_for, validation_gate
 
 log = logging.getLogger("equilearn.baseline")
 
@@ -113,14 +114,7 @@ def visit_policy(game: Game, node, player: int) -> np.ndarray:
     counts = np.zeros(game.spec.action_counts[player])
     for joint, child in node.children.items():
         counts[joint[player]] += child.visit_count
-    legal = game.legal_actions(node.state, player)
-    mask = np.zeros(len(counts), dtype=bool)
-    mask[list(legal)] = True
-    counts = np.where(mask, counts, 0.0)
-    total = counts.sum()
-    if total <= 0.0:
-        return mask / mask.sum()
-    return counts / total
+    return legal_policy(counts, game.legal_actions(node.state, player))
 
 
 def tree_to_replay(game: Game, tree: GameTree, buffer: ReplayBuffer):
@@ -184,13 +178,8 @@ class SmctsAgent:
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
         obs = self.game.observe(state, player)
-        p = self.policy_models[player].predict(obs)[0]
-        legal = self.game.legal_actions(state, player)
-        mask = np.zeros(len(p), dtype=bool)
-        mask[list(legal)] = True
-        p = np.where(mask, p, 0.0)
-        total = p.sum()
-        return p / total if total > 0.0 else mask / mask.sum()
+        return legal_policy(self.policy_models[player].predict(obs)[0],
+                            self.game.legal_actions(state, player))
 
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
@@ -200,8 +189,7 @@ class SmctsAgent:
             p = policies[player]
         else:
             p = self.policy(state, player)
-        a = int(np.searchsorted(np.cumsum(p), rng.random()))
-        return min(a, len(p) - 1)
+        return sample_index(p, rng)
 
 
 @dataclass
@@ -244,19 +232,11 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         path = [root]
         leaf_value = node.value
         while not node.state.terminal:
-            joint = []
-            for p in range(n):
-                w = np.asarray(node.weights[p], dtype=float)
-                legal = game.legal_actions(node.state, p)
-                mask = np.zeros(len(w), dtype=bool)
-                mask[list(legal)] = True
-                w = np.where(mask, np.maximum(w, 0.0), 0.0)
-                if w.sum() <= 0.0:
-                    w = mask.astype(float)
-                probs = w / w.sum()
-                a = int(np.searchsorted(np.cumsum(probs), rng.random()))
-                joint.append(min(a, len(w) - 1))
-            joint = tuple(joint)
+            joint = tuple(
+                sample_index(legal_policy(node.weights[p],
+                                          game.legal_actions(node.state, p)),
+                             rng)
+                for p in range(n))
             child = node.children.get(joint)
             if child is None:
                 child = make_node(game.step(node.state, joint).next_state)
@@ -275,21 +255,8 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         counts = np.zeros(game.spec.action_counts[p])
         for joint, child in root.children.items():
             counts[joint[p]] += child.visits
-        legal = game.legal_actions(state, p)
-        mask = np.zeros(len(counts), dtype=bool)
-        mask[list(legal)] = True
-        counts = np.where(mask, counts, 0.0)
-        total = counts.sum()
-        policies.append(counts / total if total > 0 else mask / mask.sum())
+        policies.append(legal_policy(counts, game.legal_actions(state, p)))
     return root.value, policies
-
-
-def _share_mode(game: Game) -> str:
-    if game.reward_symmetry == "zero_sum" and game.num_players == 2:
-        return "zero_sum"
-    if game.reward_symmetry == "identical":
-        return "identical"
-    return "none"
 
 
 def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
@@ -299,7 +266,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
     if game is None:
         game = game_from_id(sc.game_id)
     rng = np.random.default_rng(sc.seed)
-    share = _share_mode(game)
+    share = share_mode_for(game, "mlp")
     codec = SupportCodec(num_bins=sc.support_bins, lo=0.0, hi=1.0)
 
     accepted: SmctsAgent | None = None

@@ -3,15 +3,15 @@
 One stage game lives at a single state: its per-player losses come
 either from terminal rewards (normalized into [0, 1]) or from a value
 model one layer deeper. All N players run EXP-IX simultaneously on the
-shared loss oracle; the empirical distribution of sampled joint actions
-approximates a coarse correlated equilibrium, which the brute-force
-verifier checks by exhaustive deviation enumeration.
+shared dense loss tensor, a batch of same-shaped stage games at a time;
+the empirical distribution of sampled joint actions approximates a
+coarse correlated equilibrium, which the brute-force verifier checks by
+exhaustive enumeration of legal deviations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,39 +22,24 @@ LOSS_TOL = 1e-9
 
 @dataclass
 class StageGame:
-    """A one-shot game with losses in [0, 1]^N.
-
-    Either ``loss_tensor`` (shape (A_1, ..., A_N, N)) or ``loss_oracle``
-    (joint action tuple -> length-N loss vector) must be given; the
-    dense tensor enables pruning and exact verification.
-    """
+    """A one-shot game with losses in [0, 1]^N, held as a dense tensor
+    of shape (A_1, ..., A_N, N)."""
 
     num_players: int
     action_counts: tuple[int, ...]
     loss_tensor: np.ndarray | None = None
-    loss_oracle: Callable[[tuple[int, ...]], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.loss_tensor is None and self.loss_oracle is None:
-            raise ValueError("need a loss tensor or a loss oracle")
-        if self.loss_tensor is not None:
-            t = np.asarray(self.loss_tensor, dtype=float)
-            expected = tuple(self.action_counts) + (self.num_players,)
-            if t.shape != expected:
-                raise ValueError(f"loss tensor shape {t.shape}, "
-                                 f"expected {expected}")
-            if t.min() < -LOSS_TOL or t.max() > 1 + LOSS_TOL:
-                raise ValueError("loss tensor entries must lie in [0, 1]")
-            self.loss_tensor = np.clip(t, 0.0, 1.0)
-
-    def losses(self, joint: tuple[int, ...]) -> np.ndarray:
-        if self.loss_tensor is not None:
-            return self.loss_tensor[tuple(joint)]
-        out = np.asarray(self.loss_oracle(tuple(joint)), dtype=float)
-        if out.min() < -LOSS_TOL or out.max() > 1 + LOSS_TOL:
-            raise ValueError(f"loss oracle returned values outside [0, 1] "
-                             f"for joint action {joint}: {out}")
-        return np.clip(out, 0.0, 1.0)
+        if self.loss_tensor is None:
+            raise ValueError("need a loss tensor")
+        t = np.asarray(self.loss_tensor, dtype=float)
+        expected = tuple(self.action_counts) + (self.num_players,)
+        if t.shape != expected:
+            raise ValueError(f"loss tensor shape {t.shape}, "
+                             f"expected {expected}")
+        if t.min() < -LOSS_TOL or t.max() > 1 + LOSS_TOL:
+            raise ValueError("loss tensor entries must lie in [0, 1]")
+        self.loss_tensor = np.clip(t, 0.0, 1.0)
 
 
 def full_mask(action_counts) -> list[np.ndarray]:
@@ -71,6 +56,17 @@ def check_mask(mask, action_counts):
         if not m.any():
             raise ValueError("mask leaves a player with no playable action")
     return mask
+
+
+def stack_masks(rows, action_counts) -> np.ndarray:
+    """Per-game lists of per-player masks as one (B, N, A_max) array;
+    arms past a player's action count are False."""
+    out = np.zeros((len(rows), len(action_counts), max(action_counts)),
+                   dtype=bool)
+    for b, row in enumerate(rows):
+        for i, m in enumerate(row):
+            out[b, i, :action_counts[i]] = m
+    return out
 
 
 @dataclass
@@ -99,61 +95,6 @@ def normalize_losses(rewards: np.ndarray) -> np.ndarray:
     ok = span > LOSS_TOL
     out[:, ok] = 1.0 - (rewards[:, ok] - lo[ok]) / span[ok]
     return out
-
-
-def _masked_policy(log_w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    lw = np.where(mask, log_w, -np.inf)
-    w = np.exp(lw - lw.max())
-    return w / w.sum()
-
-
-def ma_exp_ix(stage: StageGame, rounds: int, params: IxParams | None = None,
-              mask=None, rng: np.random.Generator | None = None) -> CceOutcome:
-    """Run simultaneous EXP-IX for all players over one stage game.
-
-    Every round each player draws an arm from its masked weight policy,
-    the joint loss is queried once, and each player applies the IX
-    update on its own chosen arm.
-    """
-    if rounds < 1:
-        raise ValueError("need at least 1 round")
-    if rng is None:
-        rng = np.random.default_rng()
-    n = stage.num_players
-    counts = stage.action_counts
-    if mask is None:
-        mask = full_mask(counts)
-    mask = check_mask(mask, counts)
-    if params is None:
-        params = default_schedule(max(2, max(counts)), rounds)
-    eta, gamma = params.eta, params.gamma_ix
-
-    log_w = [np.zeros(a) for a in counts]
-    loss_sums = np.zeros(n)
-    joint_counts: dict[tuple[int, ...], int] = {}
-    chosen = np.empty(n, dtype=int)
-    p_chosen = np.empty(n)
-    for _ in range(rounds):
-        for i in range(n):
-            p = _masked_policy(log_w[i], mask[i])
-            u = rng.random()
-            a = int(np.searchsorted(np.cumsum(p), u))
-            a = min(a, counts[i] - 1)
-            chosen[i] = a
-            p_chosen[i] = p[a]
-        joint = tuple(int(a) for a in chosen)
-        losses = stage.losses(joint)
-        loss_sums += losses
-        joint_counts[joint] = joint_counts.get(joint, 0) + 1
-        for i in range(n):
-            log_w[i][chosen[i]] -= (eta * losses[i]
-                                    / (p_chosen[i] + gamma))
-
-    weights = [WeightRow(lw) for lw in log_w]
-    policies = [_masked_policy(lw, m) for lw, m in zip(log_w, mask)]
-    values = 1.0 - loss_sums / rounds
-    return CceOutcome(weights=weights, policies=policies, values=values,
-                      empirical_joint=joint_counts, rounds=rounds)
 
 
 @dataclass
@@ -188,11 +129,14 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
                     params: IxParams | None = None, masks=None,
                     rng: np.random.Generator | None = None
                     ) -> BatchCceOutcome:
-    """Vectorized multi-agent EXP-IX over a batch of dense stage games.
+    """Simultaneous EXP-IX for all players over a batch of stage games.
 
-    ``loss_tensors`` has shape (B, A_1, ..., A_N, N). The per-round
-    dynamics are identical to :func:`ma_exp_ix`; the batch dimension is
-    where the parallelism of independent stage games lives.
+    ``loss_tensors`` has shape (B, A_1, ..., A_N, N) and ``masks``
+    (B, N, A_max), True = playable. Every round each player of each game
+    draws an arm from its masked weight policy by the rule of
+    :func:`~equilearn.bandit.sample_index`, the joint loss is looked up,
+    and each player applies the IX update on its own chosen arm. The
+    games are independent; the batch dimension only vectorizes them.
     """
     if rounds < 1:
         raise ValueError("need at least 1 round")
@@ -242,8 +186,7 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
         c = np.cumsum(p, axis=2)
         c /= c[:, :, -1:]
         u = rng.random((b, n, 1))
-        chosen = (u > c).sum(axis=2)
-        np.minimum(chosen, a_max - 1, out=chosen)
+        chosen = (u >= c).sum(axis=2)
         p_sel = p[bi, ni, chosen]
         flat = chosen @ strides
         losses = flat_losses[np.arange(b), flat]          # (B, N)
@@ -262,6 +205,18 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
                            rounds=rounds)
 
 
+def ma_exp_ix(stage: StageGame, rounds: int, params: IxParams | None = None,
+              mask=None, rng: np.random.Generator | None = None) -> CceOutcome:
+    """Simultaneous EXP-IX over one stage game: :func:`ma_exp_ix_batch`
+    on a batch of one."""
+    counts = stage.action_counts
+    masks = (None if mask is None
+             else stack_masks([check_mask(mask, counts)], counts))
+    batch = ma_exp_ix_batch(stage.loss_tensor[None], rounds, params, masks,
+                            rng)
+    return batch.outcome(0)
+
+
 def prune_dominated(stage: StageGame, legal=None) -> list[np.ndarray]:
     """Iterated strict pure-strategy dominance on a dense stage game.
 
@@ -270,8 +225,6 @@ def prune_dominated(stage: StageGame, legal=None) -> list[np.ndarray]:
     per player and iterated to a fixed point. Returns per-player
     boolean masks (True = playable).
     """
-    if stage.loss_tensor is None:
-        raise ValueError("pruning needs a dense loss tensor")
     counts = stage.action_counts
     n = stage.num_players
     mask = (check_mask(legal, counts) if legal is not None
@@ -301,17 +254,36 @@ def prune_dominated(stage: StageGame, legal=None) -> list[np.ndarray]:
     return mask
 
 
-def verify_cce(joint_dist, stage: StageGame) -> float:
+def _deviation_gains(weights: np.ndarray, stage: StageGame, legal=None
+                     ) -> np.ndarray:
+    """Per player i: the loss incurred under the joint ``weights`` minus
+    that of the best fixed arm a' against the same opponent play, over
+    the arms ``legal`` allows (every arm when it is None)."""
+    counts = stage.action_counts
+    gains = np.empty(stage.num_players)
+    for i in range(stage.num_players):
+        li = stage.loss_tensor[..., i]
+        incurred = float((weights * li).sum())
+        li_dev = np.moveaxis(li, i, 0).reshape(counts[i], -1)
+        dev = li_dev @ weights.sum(axis=i).ravel()
+        if legal is not None:
+            dev = dev[legal[i]]
+        gains[i] = incurred - float(dev.min())
+    return gains
+
+
+def verify_cce(joint_dist, stage: StageGame, legal=None) -> float:
     """Exact epsilon of a joint distribution: the best deviation gain.
 
     ``joint_dist`` is a dense array over joint actions or a mapping
-    from joint-action tuples to probabilities. Returns
-    max over players i and arms a' of
-    [E_sigma c_i(a) - E_sigma c_i(a', a_-i)]^+ by full enumeration.
+    from joint-action tuples to probabilities; ``legal`` optionally
+    gives per-player boolean masks of the arms a player may deviate to
+    (default: every arm). Returns max over players i and legal arms a'
+    of [E_sigma c_i(a) - E_sigma c_i(a', a_-i)]^+ by full enumeration.
     """
-    if stage.loss_tensor is None:
-        raise ValueError("verification needs a dense loss tensor")
     counts = stage.action_counts
+    if legal is not None:
+        legal = check_mask(legal, counts)
     if isinstance(joint_dist, dict):
         dense = np.zeros(counts)
         for joint, prob in joint_dist.items():
@@ -323,16 +295,7 @@ def verify_cce(joint_dist, stage: StageGame) -> float:
     total = dense.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")
-
-    eps = 0.0
-    for i in range(stage.num_players):
-        li = stage.loss_tensor[..., i]
-        incurred = float((dense * li).sum())
-        opp_marginal = dense.sum(axis=i)
-        li_dev = np.moveaxis(li, i, 0).reshape(counts[i], -1)
-        dev = li_dev @ opp_marginal.ravel()
-        eps = max(eps, incurred - float(dev.min()))
-    return max(eps, 0.0)
+    return max(0.0, float(_deviation_gains(dense, stage, legal).max()))
 
 
 def empirical_to_distribution(outcome: CceOutcome) -> dict:
@@ -346,15 +309,7 @@ def empirical_to_distribution(outcome: CceOutcome) -> dict:
 def realized_regret(outcome: CceOutcome, stage: StageGame, player: int
                     ) -> float:
     """Player's regret against the empirical opponent play of the run."""
-    if stage.loss_tensor is None:
-        raise ValueError("needs a dense loss tensor")
-    counts = stage.action_counts
-    dense = np.zeros(counts)
+    counts = np.zeros(stage.action_counts)
     for joint, c in outcome.empirical_joint.items():
-        dense[tuple(joint)] = c
-    li = stage.loss_tensor[..., player]
-    incurred = float((dense * li).sum())
-    opp_counts = dense.sum(axis=player)
-    li_dev = np.moveaxis(li, player, 0).reshape(counts[player], -1)
-    best = float((li_dev @ opp_counts.ravel()).min())
-    return incurred - best
+        counts[tuple(joint)] = c
+    return float(_deviation_gains(counts, stage)[player])

@@ -36,8 +36,6 @@ DEFAULTS: dict = {
                                "network parameters"),
 
     "cce.rounds": (10000, "bandit rounds per stage solve"),
-    "cce.dense_cap": (4096, "max joint-action-space size for dense "
-                            "tensors, pruning and exact verification"),
     "cce.prune": (True, "mask strictly dominated actions before solving"),
 
     "net.q_hidden": (256, "hidden width of the value trunk and head"),

@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bandit import legal_policy, sample_index
 from .games.base import Game, GameState
+from .harness import write_atomic
 
 
 @dataclass
@@ -85,16 +87,7 @@ def _sample_action(game, node, player, randomized, rng) -> int:
     legal = game.legal_actions(node.state, player)
     if randomized or node.weights is None:
         return int(legal[rng.integers(len(legal))])
-    w = np.asarray(node.weights[player], dtype=float)
-    mask = np.zeros(len(w), dtype=bool)
-    mask[list(legal)] = True
-    w = np.where(mask, np.maximum(w, 0.0), 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        return int(legal[rng.integers(len(legal))])
-    p = w / total
-    a = int(np.searchsorted(np.cumsum(p), rng.random()))
-    return min(a, len(w) - 1)
+    return sample_index(legal_policy(node.weights[player], legal), rng)
 
 
 def generate_tree(game: Game, source, num_sims: int, randomize=None,
@@ -146,10 +139,6 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
             node.children[joint] = child
             break  # a new edge is a leaf: the simulation ends here
     return tree
-
-
-def layer_of(tree: GameTree, h: int) -> list[TreeNode]:
-    return tree.layer_of(h)
 
 
 def _tree_cv_score(tree: GameTree) -> float:
@@ -301,23 +290,13 @@ def replay_sample(buffer: ReplayBuffer, batch_size: int,
 def export_replay_tsv(path: str, entries):
     """Newline-delimited export: timestep, player, visit_count, value,
     policy (comma-joined), observation (comma-joined), tab-separated."""
-    import os
-    import tempfile
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for e in entries:
-                policy = ",".join(f"{x:.9g}" for x in e.policy)
-                obs = ",".join(f"{x:.9g}"
-                               for x in e.observations[e.player])
-                fh.write(f"{e.timestep}\t{e.player}\t{e.visit_count}\t"
-                         f"{e.value:.9g}\t{policy}\t{obs}\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    lines = []
+    for e in entries:
+        policy = ",".join(f"{x:.9g}" for x in e.policy)
+        obs = ",".join(f"{x:.9g}" for x in e.observations[e.player])
+        lines.append(f"{e.timestep}\t{e.player}\t{e.visit_count}\t"
+                     f"{e.value:.9g}\t{policy}\t{obs}\n")
+    write_atomic(path, "".join(lines))
 
 
 # -- edge datasets for value-model fitting ---------------------------------

@@ -11,7 +11,6 @@ zero-sum.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 

@@ -6,8 +6,6 @@ one line per joint action in row-major order carrying N real payoffs.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .base import Game, GameSpec, GameState, StepResult

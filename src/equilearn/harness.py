@@ -204,13 +204,17 @@ def tournament(game: Game, agents, matches_per_pair: int, seed: int
     return table
 
 
-def write_atomic(path: str, text: str):
+def write_atomic(path: str, content: str | bytes):
+    """Write ``content`` (text or binary) to a temp file in the target
+    directory, then rename it over ``path``; readers never see a partial
+    file, and the temp file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w"
+                       ) as fh:
+            fh.write(content)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

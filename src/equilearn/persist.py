@@ -14,7 +14,7 @@ import re
 
 from .approx import PolicyModel, QValueModel, ValueModel, load_model, \
     save_model
-from .baseline import SmctsAgent, _share_mode
+from .baseline import SmctsAgent
 from .games import game_from_id
 from .games.base import Game
 from .trainer import TrainedAgent, share_mode_for
@@ -113,7 +113,7 @@ def load_smcts_agent(directory: str, game: Game | None = None,
         raise ValueError(f"expected one policy per player, got "
                          f"players {sorted(policies)}")
     share = ("none" if len(values) == game.num_players
-             else _share_mode(game))
+             else share_mode_for(game, "mlp"))
     return SmctsAgent(game, values, [policies[p]
                                      for p in range(game.num_players)],
                       share, eval_simulations=eval_simulations,

@@ -14,16 +14,16 @@ from __future__ import annotations
 import copy
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
                      fit_tabular)
-from .cce import (StageGame, check_mask, full_mask, ma_exp_ix,
-                  ma_exp_ix_batch, normalize_losses, prune_dominated,
-                  verify_cce)
+from .bandit import legal_policy, sample_index
+from .cce import (StageGame, ma_exp_ix_batch, normalize_losses,
+                  prune_dominated, stack_masks, verify_cce)
 from .config import Config
 from .data import (GameTree, UniformPolicySource, build_q_dataset,
                    generate_tree, select_tree_by_cv, upsample_values)
@@ -47,7 +47,6 @@ class TrainConfig:
     gate_matches: int
     warm_start: bool
     cce_rounds: int
-    dense_cap: int
     prune: bool
     q_hidden: int
     q_rep: int
@@ -79,8 +78,7 @@ class TrainConfig:
             patience=cfg["train.patience"],
             gate_matches=cfg["train.gate_matches"],
             warm_start=cfg["train.warm_start"],
-            cce_rounds=cfg["cce.rounds"], dense_cap=cfg["cce.dense_cap"],
-            prune=cfg["cce.prune"],
+            cce_rounds=cfg["cce.rounds"], prune=cfg["cce.prune"],
             q_hidden=cfg["net.q_hidden"], q_rep=cfg["net.q_rep"],
             policy_hidden=cfg["net.policy_hidden"],
             policy_rep=cfg["net.policy_rep"],
@@ -213,14 +211,16 @@ def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
 
 @dataclass
 class LayerResult:
-    outcomes: dict                 # state key -> CceOutcome
     values: dict                   # state key -> per-player value vector
     dataset: object                # QDataset the value model was fit on
     models: object                 # fitted value backend for this layer
     fit_loss: float
     policy_records: list           # (player, observation, policy) triples
-    pruning_skipped: bool = False
-    mean_epsilon: float | None = None
+    mean_epsilon: float            # over the first VERIFY_NODES states
+
+
+# stage solves per layer whose exact epsilon is logged
+VERIFY_NODES = 3
 
 
 def _legal_masks(game: Game, nodes):
@@ -236,15 +236,15 @@ def _legal_masks(game: Game, nodes):
 
 
 def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
-                  tc: TrainConfig, iteration: int,
-                  rng: np.random.Generator, spot_verify: int = 3
+                  tc: TrainConfig, iteration: int, rng: np.random.Generator
                   ) -> LayerResult:
     """Fit the layer's value model, then stage-solve every layer state.
 
     ``child_values`` maps layer h+1 state keys to per-player values in
     [0, 1] (terminal normalized returns when h+1 is the horizon). The
     value model is fit before solving so stage losses are its
-    predictions, as the tabular/mlp backend dictates.
+    predictions, as the tabular/mlp backend dictates. All states of the
+    layer are solved in one batch.
     """
     nodes = tree.layer_of(h)
     if not nodes:
@@ -254,82 +254,34 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
                                                 iteration, rng)
 
     counts = game.spec.action_counts
-    joint_size = int(np.prod(counts))
+    n = game.num_players
     states = [node.state for node in nodes]
     legal = _legal_masks(game, nodes)
-    pruning_skipped = False
-
-    if joint_size <= tc.dense_cap:
-        values = source.joint_values(game, states)       # (B, J, N)
-        tensors = 1.0 - values.reshape((len(nodes), *counts,
-                                        game.num_players))
-        tensors = np.clip(tensors, 0.0, 1.0)
-        a_max = max(counts)
-        mask_arr = np.zeros((len(nodes), game.num_players, a_max),
-                            dtype=bool)
-        for bi, row in enumerate(legal):
-            masks = row
-            if tc.prune:
-                stage = StageGame(game.num_players, counts,
-                                  loss_tensor=tensors[bi])
-                masks = prune_dominated(stage, legal=row)
-            for p, m in enumerate(masks):
-                mask_arr[bi, p, :counts[p]] = m
-        batch = ma_exp_ix_batch(tensors, tc.cce_rounds, masks=mask_arr,
-                                rng=rng)
-        outcomes = {s.key(): batch.outcome(bi)
-                    for bi, s in enumerate(states)}
-        if spot_verify:
-            eps = []
-            for bi in range(min(spot_verify, len(nodes))):
-                stage = StageGame(game.num_players, counts,
-                                  loss_tensor=tensors[bi])
-                out = outcomes[states[bi].key()]
-                dist = {j: c / out.rounds
-                        for j, c in out.empirical_joint.items()}
-                eps.append(verify_cce(dist, stage))
-            mean_eps = float(np.mean(eps))
-        else:
-            mean_eps = None
-    else:
-        # joint space too large for dense tensors: solve per node with an
-        # on-demand oracle; pruning and exact verification are skipped.
-        pruning_skipped = tc.prune
-        if tc.prune:
-            log.info("layer %d: joint space %d over dense cap %d, "
-                     "pruning skipped", h, joint_size, tc.dense_cap)
-        mean_eps = None
-        outcomes = {}
-        for bi, node in enumerate(nodes):
-            vals_cache = {}
-
-            def oracle(joint, _s=node.state, _c=vals_cache):
-                if joint not in _c:
-                    v = source.joint_values(game, [_s])[0]
-                    # joint_values enumerates; cache every joint at once
-                    joints = list(itertools.product(*(range(a)
-                                                      for a in counts)))
-                    for ji, jj in enumerate(joints):
-                        _c[jj] = np.clip(1.0 - v[ji], 0.0, 1.0)
-                return _c[joint]
-
-            stage = StageGame(game.num_players, counts, loss_oracle=oracle)
-            outcomes[node.state.key()] = ma_exp_ix(stage, tc.cce_rounds,
-                                                   mask=legal[bi], rng=rng)
+    values = source.joint_values(game, states)       # (B, J, N)
+    tensors = np.clip(1.0 - values.reshape((len(nodes), *counts, n)),
+                      0.0, 1.0)
+    masks = legal
+    if tc.prune:
+        masks = [prune_dominated(StageGame(n, counts, loss_tensor=t),
+                                 legal=row)
+                 for t, row in zip(tensors, legal)]
+    batch = ma_exp_ix_batch(tensors, tc.cce_rounds,
+                            masks=stack_masks(masks, counts), rng=rng)
+    eps = [verify_cce(batch.joint_counts[bi].reshape(counts) / batch.rounds,
+                      StageGame(n, counts, loss_tensor=tensors[bi]),
+                      legal=legal[bi])
+           for bi in range(min(VERIFY_NODES, len(nodes)))]
 
     values_out = {}
     policy_records = []
-    for node in nodes:
-        out = outcomes[node.state.key()]
-        values_out[node.state.key()] = out.values
-        for p in range(game.num_players):
-            policy_records.append((p, game.observe(node.state, p),
-                                   out.policies[p]))
-    return LayerResult(outcomes=outcomes, values=values_out,
-                       dataset=dataset, models=models, fit_loss=fit_loss,
-                       policy_records=policy_records,
-                       pruning_skipped=pruning_skipped,
-                       mean_epsilon=mean_eps)
+    for bi, state in enumerate(states):
+        values_out[state.key()] = batch.values[bi]
+        for p in range(n):
+            policy_records.append((p, game.observe(state, p),
+                                   batch.policies[bi, p, :counts[p]]))
+    return LayerResult(values=values_out, dataset=dataset, models=models,
+                       fit_loss=fit_loss, policy_records=policy_records,
+                       mean_epsilon=float(np.mean(eps)))
 
 
 class TrainedAgent:
@@ -353,32 +305,20 @@ class TrainedAgent:
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
         obs = self.game.observe(state, player)
-        p = self.policy_models[player].predict(obs)[0]
-        legal = self.game.legal_actions(state, player)
-        mask = np.zeros(len(p), dtype=bool)
-        mask[list(legal)] = True
-        p = np.where(mask, p, 0.0)
-        total = p.sum()
-        if total <= 0.0:
-            p = mask / mask.sum()
-        else:
-            p = p / total
-        return p
+        return legal_policy(self.policy_models[player].predict(obs)[0],
+                            self.game.legal_actions(state, player))
 
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
-        p = self.policy(state, player)
-        a = int(np.searchsorted(np.cumsum(p), rng.random()))
-        return min(a, len(p) - 1)
+        return sample_index(self.policy(state, player), rng)
 
 
 class AgentPolicySource:
     """Tree-rollout predictions from a trained agent: policy-network
     weights, and node values as the policy-weighted value-model mean."""
 
-    def __init__(self, agent: TrainedAgent, dense_cap: int = 4096):
+    def __init__(self, agent: TrainedAgent):
         self.agent = agent
-        self.dense_cap = dense_cap
 
     def predict(self, game: Game, state: GameState):
         if state.terminal:
@@ -387,18 +327,17 @@ class AgentPolicySource:
                    for p in range(game.num_players)]
         h = state.timestep
         counts = game.spec.action_counts
-        joint_size = int(np.prod(counts))
         value = np.full(game.num_players, 0.5)
         models = self.agent.value_models.get(h)
-        if models is not None and joint_size <= self.dense_cap:
+        if models is not None:
             if isinstance(models, TabularQ):
                 source = TabularValueSource(models)
             else:
                 source = MlpValueSource(models, self.agent.share_mode)
             vals = source.joint_values(game, [state])[0]   # (J, N)
-            probs = np.ones(joint_size)
             joints = np.array(list(itertools.product(
                 *(range(a) for a in counts))))
+            probs = np.ones(len(joints))
             for p in range(game.num_players):
                 probs *= np.asarray(weights[p])[joints[:, p]]
             total = probs.sum()
@@ -507,7 +446,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         if accepted is None:
             source = UniformPolicySource()
         else:
-            source = AgentPolicySource(accepted, dense_cap=tc.dense_cap)
+            source = AgentPolicySource(accepted)
         trees = [generate_tree(game, source, tc.trajectories,
                                randomize=tc.randomize_prob, rng=rng)
                  for _ in range(tc.cv_trees)]
@@ -531,7 +470,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
                 "policy_loss": None, "gate": None,
             })
             log.info("iter %d layer %d: %d states, mean value %.4f",
-                     it, h, len(result.outcomes), mean_v)
+                     it, h, len(result.values), mean_v)
 
         if accepted is not None and tc.warm_start:
             # deep copy so a rolled-back candidate can't corrupt the

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from equilearn.bandit import default_schedule, sample_index
 from equilearn.cce import StageGame, ma_exp_ix, normalize_losses
 
 
@@ -57,3 +58,33 @@ def backward_cce_values(game, rounds, rng):
             out = ma_exp_ix(stage, rounds, rng=rng)
             values[h][key] = out.values
     return values
+
+
+def scalar_exp_ix(stage, rounds, mask, rng):
+    """Simultaneous EXP-IX on one stage game, one player and one round
+    at a time: the reference the vectorized solver must match exactly.
+
+    Returns (joint-action visit counts, per-player values, per-player
+    masked policies).
+    """
+    counts = stage.action_counts
+    params = default_schedule(max(2, max(counts)), rounds)
+
+    def policy(lw, m):
+        w = np.exp(np.where(m, lw, -np.inf) - lw[m].max())
+        return w / w.sum()
+
+    log_w = [np.zeros(a) for a in counts]
+    loss_sums = np.zeros(stage.num_players)
+    visits = {}
+    for _ in range(rounds):
+        ps = [policy(lw, m) for lw, m in zip(log_w, mask)]
+        joint = tuple(sample_index(p, rng) for p in ps)
+        losses = stage.loss_tensor[joint]
+        loss_sums += losses
+        visits[joint] = visits.get(joint, 0) + 1
+        for i, a in enumerate(joint):
+            log_w[i][a] -= (params.eta * losses[i]
+                            / (ps[i][a] + params.gamma_ix))
+    return (visits, 1.0 - loss_sums / rounds,
+            [policy(lw, m) for lw, m in zip(log_w, mask)])

@@ -1,6 +1,8 @@
-"""Tests for the single-agent EXP-IX bandit."""
+"""Tests for the single-agent EXP-IX bandit and the shared action
+sampler."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from hypothesis import strategies as st
 
 from equilearn.bandit import (IxParams, RegretTrace, WeightRow,
                               default_schedule, ix_update,
-                              policy_from_weights, regret, run_exp_ix)
+                              policy_from_weights, regret, run_exp_ix,
+                              sample_index)
+from equilearn.baseline import SmctsAgent
+from equilearn.data import _sample_action
+from equilearn.trainer import TrainedAgent
 
 
 def test_uniform_row_gives_uniform_policy():
@@ -109,3 +115,52 @@ def test_regret_trace_accounting():
     assert regret(trace) == pytest.approx(0.9 - 0.5)
     with pytest.raises(ValueError):
         regret(RegretTrace(k=2))
+
+
+@given(w=st.lists(st.sampled_from([0.0, 1e-300, 0.1, 0.3, 1.0, 7.0]),
+                  min_size=1, max_size=8).filter(lambda w: sum(w) > 0),
+       u=st.one_of(st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))),
+                   st.floats(0.0, 1.0, exclude_max=True)))
+def test_sample_index_never_returns_zero_weight(w, u):
+    i = sample_index(np.array(w), SimpleNamespace(random=lambda: u))
+    assert 0 <= i < len(w) and w[i] > 0.0
+
+
+class _FixedPolicy:
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def predict(self, obs):
+        return self.row[None]
+
+
+# (network output or node weights, legal actions, uniform draw): a draw
+# of exactly 0 with an illegal first arm, and the largest draw below 1
+# against a normalized 6-arm policy whose cumulative sum ends 2 ulps
+# short of 1, with the illegal seventh arm after it
+ZERO_WEIGHT_TRAPS = {
+    "zero-draw": ([0.4, 0.3, 0.3], (1, 2), 0.0),
+    "short-cumsum": ([0.69, 0.39, 0.14, 0.72, 0.53, 0.31, 0.5],
+                     tuple(range(6)), float(np.nextafter(1.0, 0.0))),
+}
+
+DRAW_SITES = {
+    "trained-agent": lambda game, row, rng: TrainedAgent(
+        game, [_FixedPolicy(row)], {}, "none").act(game, None, 0, rng),
+    "smcts-policy-play": lambda game, row, rng: SmctsAgent(
+        game, {}, [_FixedPolicy(row)], "none",
+        search_play=False).act(game, None, 0, rng),
+    "tree-rollout": lambda game, row, rng: _sample_action(
+        game, SimpleNamespace(state=None, weights=[np.array(row)]), 0,
+        False, rng),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DRAW_SITES))
+@pytest.mark.parametrize("trap", sorted(ZERO_WEIGHT_TRAPS))
+def test_action_draws_stay_legal(site, trap):
+    row, legal, u = ZERO_WEIGHT_TRAPS[trap]
+    game = SimpleNamespace(observe=lambda state, p: np.zeros(1),
+                           legal_actions=lambda state, p: legal)
+    rng = SimpleNamespace(random=lambda: u)
+    assert DRAW_SITES[site](game, row, rng) in legal

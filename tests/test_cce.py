@@ -1,5 +1,7 @@
 """Tests for multi-agent stage solving, pruning and verification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from equilearn.cce import (StageGame, empirical_to_distribution, ma_exp_ix,
                            ma_exp_ix_batch, normalize_losses, prune_dominated,
                            realized_regret, verify_cce)
 from equilearn.games.matrix import matching_pennies, prisoners_dilemma
+
+from _oracles import scalar_exp_ix
 
 
 def _loss_tensor_from_payoffs(payoffs: np.ndarray) -> np.ndarray:
@@ -65,6 +69,21 @@ def test_verify_cce_zero_for_pure_equilibrium():
     stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
     dist = {(1, 1): 1.0}
     assert verify_cce(dist, stage) == pytest.approx(0.0)
+
+
+def test_verify_cce_ignores_illegal_deviations():
+    # Player 0 plays arm 0 against player 1's even mix. Player 0 incurs
+    # (0.6 + 0.2) / 2 = 0.4 and would incur 0 on arm 1, but arm 1 is
+    # illegal; player 1 incurs (0.3 + 0.7) / 2 = 0.5 and gains 0.2 by
+    # always playing arm 0. Over legal arms epsilon is 0.2, over all 0.4.
+    losses = np.empty((2, 2, 2))
+    losses[..., 0] = [[0.6, 0.2], [0.0, 0.0]]
+    losses[..., 1] = [[0.3, 0.7], [0.5, 0.5]]
+    stage = StageGame(2, (2, 2), loss_tensor=losses)
+    dist = {(0, 0): 0.5, (0, 1): 0.5}
+    legal = [np.array([True, False]), np.array([True, True])]
+    assert verify_cce(dist, stage) == pytest.approx(0.4)
+    assert verify_cce(dist, stage, legal=legal) == pytest.approx(0.2)
 
 
 def test_verify_cce_rejects_unnormalized():
@@ -172,6 +191,13 @@ def test_batch_solver_respects_masks():
     assert all(j[0] == 0 for j in dist)
 
 
+def test_batch_solver_zero_draw_skips_masked_first_arm():
+    masks = np.array([[[False, True], [False, True]]])
+    rng = SimpleNamespace(random=lambda shape: np.zeros(shape))
+    out = ma_exp_ix_batch(MP_LOSSES[None], rounds=5, masks=masks, rng=rng)
+    assert out.joint_counts[0, 3] == 5          # joint action (1, 1)
+
+
 def test_batch_solver_ragged_action_counts():
     # 2x3 game: the padded arm of player 0 must never be played
     losses = np.zeros((1, 2, 3, 2))
@@ -181,6 +207,27 @@ def test_batch_solver_ragged_action_counts():
                           rng=np.random.default_rng(6))
     assert out.policies.shape == (1, 2, 3)
     assert out.policies[0, 0, 2] == 0.0     # padding of the 2-arm player
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000))
+def test_ma_exp_ix_matches_scalar_reference(seed):
+    """Random 2-3 player games with random legal masks: the batch solver
+    on one game reproduces the per-round scalar loop exactly."""
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 4))
+    counts = tuple(int(a) for a in g.integers(2, 6, size=n))
+    mask = [g.random(a) < 0.7 for a in counts]
+    for m in mask:
+        m[g.integers(len(m))] = True
+    stage = StageGame(n, counts, loss_tensor=g.random(counts + (n,)))
+    out = ma_exp_ix(stage, 300, mask=mask, rng=np.random.default_rng(seed))
+    visits, values, policies = scalar_exp_ix(stage, 300, mask,
+                                             np.random.default_rng(seed))
+    assert out.empirical_joint == visits
+    np.testing.assert_array_equal(out.values, values)
+    for p, q in zip(out.policies, policies):
+        np.testing.assert_array_equal(p, q)
 
 
 @settings(deadline=None, max_examples=20)

@@ -104,6 +104,19 @@ def test_win_table_rejects_bad_header():
         WinTable.from_csv("nope\n1,2,3\n")
 
 
+def test_write_atomic_text_bytes_and_failed_write(tmp_path):
+    path = tmp_path / "sub" / "out.dat"
+    harness.write_atomic(str(path), b"\x00CCEF")
+    assert path.read_bytes() == b"\x00CCEF"
+    harness.write_atomic(str(path), "a\tb\n")
+    assert path.read_text() == "a\tb\n"
+    with pytest.raises(TypeError):
+        harness.write_atomic(str(path), 3)
+    # a failed write keeps the old file and leaves no temp file behind
+    assert path.read_text() == "a\tb\n"
+    assert os.listdir(path.parent) == ["out.dat"]
+
+
 def test_tournament_is_deterministic():
     game = game_from_id("matrix:mp")
     agents = lambda: [RandomAgent("a"), RandomAgent("b")]  # noqa: E731

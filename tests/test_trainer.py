@@ -88,17 +88,21 @@ def test_process_layer_tabular_contract():
     assert result.mean_epsilon is not None and result.mean_epsilon < 0.2
 
 
-def test_process_layer_sparse_fallback_matches_contract():
-    """With a dense cap of 1 every node solves through the loss oracle."""
-    game, tree = _chain_tree()
-    tc = _tabular_tc(**{"cce.dense_cap": "1"})
-    child_values = frontier_values(game, tree, 2)
-    result = process_layer(game, tree, 1, child_values, tc, 0,
+def test_process_layer_epsilon_is_over_legal_deviations():
+    """On Goofspiel-3's last decision layer each player holds one card,
+    so the only legal deviation is the card played and the logged
+    epsilon is exactly 0."""
+    game = game_from_id("goofspiel:3")
+    tree = generate_tree(game, UniformPolicySource(), 400,
+                         rng=np.random.default_rng(0))
+    tc = TrainConfig.from_config(Config({
+        "game": "goofspiel:3", "train.value_backend": "tabular",
+        "cce.rounds": "500"}))
+    h = game.horizon - 1
+    child_values = frontier_values(game, tree, game.horizon)
+    result = process_layer(game, tree, h, child_values, tc, 0,
                            np.random.default_rng(0))
-    assert result.pruning_skipped
-    assert result.mean_epsilon is None
-    assert set(result.values) == {n.state.key()
-                                  for n in tree.layer_of(1)}
+    assert result.mean_epsilon == 0.0
 
 
 def test_validation_gate_accepts_first_and_ties():
