@@ -8,6 +8,7 @@ is exact for in-range values, out-of-range values clamp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,13 @@ class SupportCodec:
         if not self.lo < self.hi:
             raise ValueError("lo must be strictly below hi")
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.num_bins)
+        """Bin centers, built on first access; read-only, as every
+        model sharing this codec reads the same array."""
+        c = np.linspace(self.lo, self.hi, self.num_bins)
+        c.flags.writeable = False
+        return c
 
 
 def scalar_to_support(codec: SupportCodec, v) -> np.ndarray:

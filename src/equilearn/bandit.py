@@ -158,7 +158,7 @@ def run_exp_ix(loss_fn, k: int, rounds: int, rng: np.random.Generator,
     trace = RegretTrace(k=k)
     for t in range(rounds):
         p = policy_from_weights(row)
-        chosen = int(rng.choice(k, p=p))
+        chosen = sample_index(p, rng)
         losses = loss_fn(t, rng)
         trace.record(chosen, losses)
         row = ix_update(row, chosen, float(losses[chosen]), float(p[chosen]),

@@ -11,7 +11,7 @@ run a fresh per-move search or play its distilled policy directly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,8 +147,25 @@ class SmctsSource:
         return value, weights
 
 
+@dataclass
+class _LastSearch:
+    """An agent's last search, served again only to a player it has not
+    served yet, on the same state object and drawing from the same
+    generator: every match has its own generator, so no match or replay
+    reuses a search made in another."""
+    state: GameState
+    rng: np.random.Generator
+    policies: list
+    served: set = field(default_factory=set)
+
+
 class SmctsAgent:
-    """Search-at-play or distilled-policy agent over the fitted models."""
+    """Search-at-play or distilled-policy agent over the fitted models.
+
+    With ``search_play`` the agent searches each state once and serves
+    every player it controls on that state from the one search's root
+    policies, drawing one action per player.
+    """
 
     def __init__(self, game: Game, value_models: dict, policy_models: list,
                  share_mode: str, eval_simulations: int = 100,
@@ -162,6 +179,7 @@ class SmctsAgent:
         self.name = name
         self.training_log: list = []
         self.gate_score: float | None = None
+        self._last_search: _LastSearch | None = None
 
     def state_value(self, state: GameState) -> np.ndarray:
         n = self.game.num_players
@@ -184,9 +202,14 @@ class SmctsAgent:
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
         if self.search_play:
-            _, policies = smcts_search(game, state, SmctsSource(self),
-                                       self.eval_simulations, rng)
-            p = policies[player]
+            last = self._last_search
+            if (last is None or last.state is not state or last.rng is not rng
+                    or player in last.served):
+                _, policies = smcts_search(game, state, SmctsSource(self),
+                                           self.eval_simulations, rng)
+                last = self._last_search = _LastSearch(state, rng, policies)
+            last.served.add(player)
+            p = last.policies[player]
         else:
             p = self.policy(state, player)
         return sample_index(p, rng)
@@ -207,12 +230,14 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
                  rng: np.random.Generator) -> tuple:
     """Per-move search; returns (root value estimate, per-player policies).
 
-    Each simulation descends from the root sampling joint actions from
-    node weights, expands one new edge (or stops at a terminal), and
-    backs the leaf value up the path as a running mean. Terminal leaves
-    ground the scale through a per-player sigmoid of accumulated
-    returns; interior leaves keep the source's value estimate. Root
-    policies are the marginal child-visit distributions.
+    Each node's weights are restricted to the legal actions and
+    normalized once, when the node is created. Each simulation descends
+    from the root sampling joint actions from those weights, expands one
+    new edge (or stops at a terminal), and backs the leaf value up the
+    path as a running mean. Terminal leaves ground the scale through a
+    per-player sigmoid of accumulated returns; interior leaves keep the
+    source's value estimate. Root policies are the marginal child-visit
+    distributions.
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
@@ -222,6 +247,8 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
             return _SearchNode(state=s, value=_sigmoid(
                 game.terminal_returns(s)), weights=None)
         value, weights = source.predict(game, s)
+        weights = [legal_policy(w, game.legal_actions(s, p))
+                   for p, w in enumerate(weights)]
         return _SearchNode(state=s, value=np.asarray(value, dtype=float),
                            weights=weights)
 
@@ -232,11 +259,7 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         path = [root]
         leaf_value = node.value
         while not node.state.terminal:
-            joint = tuple(
-                sample_index(legal_policy(node.weights[p],
-                                          game.legal_actions(node.state, p)),
-                             rng)
-                for p in range(n))
+            joint = tuple(sample_index(w, rng) for w in node.weights)
             child = node.children.get(joint)
             if child is None:
                 child = make_node(game.step(node.state, joint).next_state)

@@ -29,6 +29,19 @@ def test_codec_frozen_oracle():
                                [0.5, 0.5, 0.0])
 
 
+def test_codec_centers_built_once_and_read_only():
+    codec = SupportCodec(num_bins=21, lo=-0.5, hi=2.0)
+    centers = codec.centers
+    assert codec.centers is centers
+    np.testing.assert_array_equal(centers, np.linspace(-0.5, 2.0, 21))
+    with pytest.raises(ValueError):
+        centers[0] = 1.0
+    # equality and hashing still see only the three fields
+    twin = SupportCodec(num_bins=21, lo=-0.5, hi=2.0)
+    assert twin == codec and hash(twin) == hash(codec) == hash((21, -0.5, 2.0))
+    assert SupportCodec(num_bins=20, lo=-0.5, hi=2.0) != codec
+
+
 def test_codec_clamps_out_of_range():
     codec = SupportCodec(num_bins=5, lo=0.0, hi=1.0)
     np.testing.assert_allclose(scalar_to_support(codec, -3.0),
