@@ -3,7 +3,7 @@ from .checkpoint import (CheckpointMeta, load_checkpoint, load_model,
 from .codec import SupportCodec, scalar_to_support, support_to_scalar
 from .mlp import MlpModel, TrainingDivergedError, train_epochs
 from .models import (ComposedModel, PolicyModel, QValueModel, ValueModel,
-                     encode_joint, joint_encoding_size)
+                     encode_joint, joint_actions)
 from .tabular import TabularQ, fit_tabular
 
 __all__ = [
@@ -11,7 +11,7 @@ __all__ = [
     "SupportCodec", "scalar_to_support", "support_to_scalar",
     "TabularQ", "fit_tabular", "TrainingDivergedError",
     "train_epochs",
-    "encode_joint", "joint_encoding_size",
+    "encode_joint", "joint_actions",
     "save_checkpoint", "load_checkpoint", "save_model", "load_model",
     "CheckpointMeta",
 ]

@@ -2,9 +2,11 @@
 
 Layout: magic ``CCEF``, format version (u16 LE), a metadata block
 (game id, player index, timestep, model/head kind, support codec,
-layer dims, action encoding), then each parameter array as raw
-little-endian 32-bit floats. Saving is atomic (temp file + rename) and
-a save -> load -> save roundtrip is byte-exact.
+layer dims, action-encoding byte), then each parameter array as raw
+little-endian 32-bit floats. The action-encoding byte is always 0
+(per-player one-hots); a file with any other value is rejected. Saving
+is atomic (temp file + rename) and a save -> load -> save roundtrip is
+byte-exact.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class CheckpointMeta:
     trunk_dims: list = field(default_factory=list)
     head_dims: list = field(default_factory=list)
     action_counts: tuple = ()
-    dense_actions: bool = False
 
 
 def _w_str(fh, s: str):
@@ -79,7 +80,7 @@ def save_checkpoint(path: str, meta: CheckpointMeta, arrays):
     _w_ints(fh, meta.trunk_dims)
     _w_ints(fh, meta.head_dims)
     _w_ints(fh, meta.action_counts)
-    fh.write(struct.pack("<B", 1 if meta.dense_actions else 0))
+    fh.write(struct.pack("<B", 0))   # per-player one-hot actions
     fh.write(struct.pack("<I", len(arrays)))
     for arr in arrays:
         arr32 = np.ascontiguousarray(arr, dtype="<f4")
@@ -113,8 +114,10 @@ def load_checkpoint(path: str):
         meta.trunk_dims = _r_ints(fh)
         meta.head_dims = _r_ints(fh)
         meta.action_counts = tuple(_r_ints(fh))
-        (dense,) = struct.unpack("<B", fh.read(1))
-        meta.dense_actions = bool(dense)
+        (encoding,) = struct.unpack("<B", fh.read(1))
+        if encoding != 0:
+            raise ValueError(f"{path}: unsupported action encoding "
+                             f"{encoding}")
         (n_arrays,) = struct.unpack("<I", fh.read(4))
         arrays = []
         for _ in range(n_arrays):
@@ -146,8 +149,7 @@ def save_model(path: str, model, game: str = "", player: int = -1,
                               codec=model.codec,
                               trunk_dims=model.net.trunk.layer_dims,
                               head_dims=model.net.head.layer_dims,
-                              action_counts=model.action_counts,
-                              dense_actions=model.dense_actions)
+                              action_counts=model.action_counts)
         net = model.net
     elif isinstance(model, PolicyModel):
         meta = CheckpointMeta(game=game, player=player, timestep=timestep,
@@ -176,8 +178,7 @@ def load_model(path: str):
     if meta.model_kind == "q":
         model = QValueModel(meta.trunk_dims[0], meta.action_counts,
                             meta.codec, trunk_hidden=trunk_hidden,
-                            rep_size=rep, head_hidden=head_hidden,
-                            dense_actions=meta.dense_actions)
+                            rep_size=rep, head_hidden=head_hidden)
         _restore_net(model.net, arrays)
     elif meta.model_kind == "policy":
         model = PolicyModel(meta.trunk_dims[0], meta.head_dims[-1],

@@ -17,30 +17,22 @@ from .codec import SupportCodec, scalar_to_support
 from .mlp import MlpModel, TrainingDivergedError, _batches
 
 
-def encode_joint_factored(joint, action_counts) -> np.ndarray:
-    """Concatenated per-player one-hots; length sum(A_i)."""
-    out = np.zeros(sum(action_counts))
-    off = 0
-    for a, count in zip(joint, action_counts):
-        out[off + a] = 1.0
-        off += count
+def joint_actions(action_counts) -> np.ndarray:
+    """Every joint action as one row of player actions, in C order (the
+    order of ``itertools.product``); shape (prod(A_i), N)."""
+    return np.indices(action_counts).reshape(len(action_counts), -1).T
+
+
+def encode_joint(joints, action_counts) -> np.ndarray:
+    """Concatenated per-player one-hots of each joint action; length
+    sum(A_i) on the last axis (one row per joint, or one vector for a
+    single joint)."""
+    counts = np.asarray(action_counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    idx = np.asarray(joints, dtype=np.intp) + offsets
+    out = np.zeros((*idx.shape[:-1], int(counts.sum())))
+    np.put_along_axis(out, idx, 1.0, axis=-1)
     return out
-
-
-def encode_joint_dense(joint, action_counts) -> np.ndarray:
-    """Single one-hot over the product joint space; length prod(A_i)."""
-    out = np.zeros(int(np.prod(action_counts)))
-    out[int(np.ravel_multi_index(tuple(joint), action_counts))] = 1.0
-    return out
-
-
-def joint_encoding_size(action_counts, dense: bool = False) -> int:
-    return int(np.prod(action_counts)) if dense else int(sum(action_counts))
-
-
-def encode_joint(joint, action_counts, dense: bool = False) -> np.ndarray:
-    enc = encode_joint_dense if dense else encode_joint_factored
-    return enc(joint, action_counts)
 
 
 class ComposedModel:
@@ -123,12 +115,11 @@ class QValueModel:
 
     def __init__(self, obs_size, action_counts, codec: SupportCodec,
                  trunk_hidden=(256, 256), rep_size=32, head_hidden=(256, 256),
-                 dense_actions=False, dropout_rate=0.5, l2_coeff=1e-4,
-                 learning_rate=5e-5, seed=0):
+                 dropout_rate=0.5, l2_coeff=1e-4, learning_rate=5e-5,
+                 seed=0):
         self.action_counts = tuple(action_counts)
         self.codec = codec
-        self.dense_actions = bool(dense_actions)
-        j = joint_encoding_size(self.action_counts, self.dense_actions)
+        j = sum(self.action_counts)
         trunk_dims = [obs_size, *trunk_hidden, rep_size]
         head_dims = [rep_size + j, *head_hidden, codec.num_bins]
         self.net = ComposedModel(trunk_dims, head_dims, "support",
@@ -137,8 +128,7 @@ class QValueModel:
                                  learning_rate=learning_rate, seed=seed)
 
     def encode_actions(self, joints) -> np.ndarray:
-        return np.stack([encode_joint(j, self.action_counts,
-                                      self.dense_actions) for j in joints])
+        return encode_joint(joints, self.action_counts)
 
     def predict(self, obs, joints) -> np.ndarray:
         """Scalar values for row-aligned observations and joint actions."""

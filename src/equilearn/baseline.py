@@ -24,7 +24,8 @@ from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
                    generate_tree, replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState
-from .trainer import GateDecision, share_mode_for, validation_gate
+from .trainer import (GateDecision, fill_shared, share_mode_for,
+                      validation_gate, value_players)
 
 log = logging.getLogger("equilearn.baseline")
 
@@ -184,15 +185,10 @@ class SmctsAgent:
     def state_value(self, state: GameState) -> np.ndarray:
         n = self.game.num_players
         out = np.full(n, 0.5)
-        players = [0] if self.share_mode != "none" else list(range(n))
-        for p in players:
+        for p in value_players(self.share_mode, n):
             obs = self.game.observe(state, p)
             out[p] = float(self.value_models[p].predict(obs)[0])
-        if self.share_mode == "zero_sum":
-            out[1] = 1.0 - out[0]
-        elif self.share_mode == "identical":
-            out[1:] = out[0]
-        return out
+        return fill_shared(out, self.share_mode)
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
         obs = self.game.observe(state, player)
@@ -289,7 +285,8 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
     if game is None:
         game = game_from_id(sc.game_id)
     rng = np.random.default_rng(sc.seed)
-    share = share_mode_for(game, "mlp")
+    share = share_mode_for(game)
+    players = value_players(share, game.num_players)
     codec = SupportCodec(num_bins=sc.support_bins, lo=0.0, hi=1.0)
 
     accepted: SmctsAgent | None = None
@@ -306,7 +303,6 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
         buffer = ReplayBuffer()
         tree_to_replay(game, tree, buffer)
 
-        players = [0] if share != "none" else list(range(game.num_players))
         value_models = {p: ValueModel(
             obs_size=game.observation_size, codec=codec,
             trunk_hidden=(sc.q_hidden, sc.q_hidden), rep_size=sc.q_rep,

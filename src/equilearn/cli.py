@@ -53,8 +53,6 @@ def _load_cfg(args) -> Config:
         cfg.set("game", args.game)
     if getattr(args, "out_dir", None):
         cfg.set("io.out_dir", args.out_dir)
-    if getattr(args, "sequential", False):
-        cfg.set("match.sequential", True)
     return cfg
 
 
@@ -68,7 +66,7 @@ def _common_options(p: argparse.ArgumentParser):
     p.add_argument("--game", help="override the game id")
     p.add_argument("--out-dir", help="override the output directory")
     p.add_argument("--sequential", action="store_true",
-                   help="deterministic sequential evaluation (the default "
+                   help="deterministic sequential evaluation (the only "
                         "execution mode; accepted for explicitness)")
 
 

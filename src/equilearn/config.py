@@ -32,11 +32,8 @@ DEFAULTS: dict = {
                           "loop terminates"),
     "train.gate_matches": (100, "validation matches against the random "
                                 "agent per iteration"),
-    "train.warm_start": (True, "reuse the previous iteration's policy "
-                               "network parameters"),
 
     "cce.rounds": (10000, "bandit rounds per stage solve"),
-    "cce.prune": (True, "mask strictly dominated actions before solving"),
 
     "net.q_hidden": (256, "hidden width of the value trunk and head"),
     "net.q_rep": (32, "value representation width"),
@@ -48,15 +45,13 @@ DEFAULTS: dict = {
     "net.q_dropout": (0.5, "dropout rate, value networks"),
     "net.policy_dropout": (0.6, "dropout rate, policy networks"),
     "net.support_bins": (21, "value-support bin count"),
-    "net.dense_actions": (False, "encode joint actions as one product "
-                                 "one-hot instead of per-player one-hots"),
     "net.q_epochs": (30, "training epochs per value fit"),
     "net.policy_epochs": (40, "training epochs per policy fit"),
     "net.batch_size": (64, "minibatch size"),
 
-    "upsample.classes": (10, "value classes for minority up-sampling"),
-    "upsample.min_count": (0, "minimum class size before merging; 0 picks "
-                              "max(50, n/20) from the dataset size"),
+    "upsample.classes": (10, "value classes for minority up-sampling; "
+                             "classes under max(50, n/20) of n records "
+                             "merge first"),
 
     "smcts.simulations": (2000, "tree simulations per training iteration"),
     "smcts.iterations": (3, "training iterations"),
@@ -73,7 +68,6 @@ DEFAULTS: dict = {
     "match.agent_b": ("random", "second agent"),
     "match.agents": ("", "comma-separated agent specs for tournaments"),
     "match.count": (200, "matches (or matches per pair)"),
-    "match.sequential": (True, "deterministic sequential evaluation"),
 
     "gen.trajectories": (1000, "simulations for gen-data tree building"),
     "gen.randomize_prob": (0.5, "randomization for gen-data rollouts"),
@@ -103,9 +97,6 @@ class Config:
 
     def __getitem__(self, key):
         return self.get(key)
-
-    def as_dict(self) -> dict:
-        return dict(self._values)
 
 
 def _coerce(value, target):

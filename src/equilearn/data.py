@@ -37,10 +37,6 @@ class GameTree:
         self.layers: list[dict] = [dict()
                                    for _ in range(game.horizon + 1)]
 
-    @property
-    def roots(self) -> dict:
-        return self.layers[0]
-
     def node_count(self) -> int:
         return sum(len(layer) for layer in self.layers)
 

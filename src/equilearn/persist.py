@@ -17,7 +17,8 @@ from .approx import PolicyModel, QValueModel, ValueModel, load_model, \
 from .baseline import SmctsAgent
 from .games import game_from_id
 from .games.base import Game
-from .trainer import TrainedAgent, share_mode_for
+from .trainer import (MlpValueSource, TrainedAgent, share_mode_for,
+                      value_players)
 
 
 def sanitize_game_id(game_id: str) -> str:
@@ -31,10 +32,10 @@ def save_trained_agent(agent: TrainedAgent, out_dir: str, game_id: str):
     for p, model in enumerate(agent.policy_models):
         save_model(os.path.join(out_dir, f"{tag}_{p}_policy.ccef"),
                    model, game=game_id, player=p)
-    for h, models in agent.value_models.items():
-        if not isinstance(models, dict):
+    for h, source in agent.value_models.items():
+        if not isinstance(source, MlpValueSource):
             continue   # tabular backend: no network to persist
-        for p, model in models.items():
+        for p, model in source.models.items():
             save_model(os.path.join(out_dir, f"{tag}_{p}_{h}.ccef"),
                        model, game=game_id, player=p, timestep=h)
 
@@ -66,6 +67,14 @@ def _load_all(directory: str):
     return loaded
 
 
+def _check_value_players(game: Game, players, share_mode: str, what: str):
+    expected = value_players(share_mode, game.num_players)
+    if sorted(players) != expected:
+        raise ValueError(f"{what}: value networks for players "
+                         f"{sorted(players)}, expected {expected} "
+                         f"(share mode {share_mode!r})")
+
+
 def _game_for(loaded, game: Game | None) -> Game:
     if game is not None:
         return game
@@ -90,11 +99,13 @@ def load_policy_agent(directory: str, game: Game | None = None,
     if sorted(policies) != list(range(game.num_players)):
         raise ValueError(f"expected one policy per player, got "
                          f"players {sorted(policies)}")
-    share = share_mode_for(game, "mlp") if values else "none"
-    agent = TrainedAgent(game, [policies[p]
-                                for p in range(game.num_players)],
-                         values, share, name=name)
-    return agent
+    share = share_mode_for(game)
+    for h, models in values.items():
+        _check_value_players(game, models, share, f"{directory} layer {h}")
+    sources = {h: MlpValueSource(models, share)
+               for h, models in values.items()}
+    return TrainedAgent(game, [policies[p] for p in range(game.num_players)],
+                        sources, name=name)
 
 
 def load_smcts_agent(directory: str, game: Game | None = None,
@@ -112,8 +123,8 @@ def load_smcts_agent(directory: str, game: Game | None = None,
     if sorted(policies) != list(range(game.num_players)):
         raise ValueError(f"expected one policy per player, got "
                          f"players {sorted(policies)}")
-    share = ("none" if len(values) == game.num_players
-             else share_mode_for(game, "mlp"))
+    share = share_mode_for(game)
+    _check_value_players(game, values, share, directory)
     return SmctsAgent(game, values, [policies[p]
                                      for p in range(game.num_players)],
                       share, eval_simulations=eval_simulations,

@@ -12,7 +12,7 @@ against a random-opponent validation score.
 from __future__ import annotations
 
 import copy
-import itertools
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
-                     fit_tabular)
+                     fit_tabular, joint_actions)
 from .bandit import legal_policy, sample_index
 from .cce import (StageGame, ma_exp_ix_batch, normalize_losses,
                   prune_dominated, stack_masks, verify_cce)
@@ -45,9 +45,7 @@ class TrainConfig:
     tabular_cap: int
     patience: int
     gate_matches: int
-    warm_start: bool
     cce_rounds: int
-    prune: bool
     q_hidden: int
     q_rep: int
     policy_hidden: int
@@ -58,12 +56,10 @@ class TrainConfig:
     q_dropout: float
     policy_dropout: float
     support_bins: int
-    dense_actions: bool
     q_epochs: int
     policy_epochs: int
     batch_size: int
     upsample_classes: int
-    upsample_min_count: int
 
     @classmethod
     def from_config(cls, cfg: Config) -> "TrainConfig":
@@ -77,8 +73,7 @@ class TrainConfig:
             tabular_cap=cfg["train.tabular_cap"],
             patience=cfg["train.patience"],
             gate_matches=cfg["train.gate_matches"],
-            warm_start=cfg["train.warm_start"],
-            cce_rounds=cfg["cce.rounds"], prune=cfg["cce.prune"],
+            cce_rounds=cfg["cce.rounds"],
             q_hidden=cfg["net.q_hidden"], q_rep=cfg["net.q_rep"],
             policy_hidden=cfg["net.policy_hidden"],
             policy_rep=cfg["net.policy_rep"],
@@ -87,34 +82,49 @@ class TrainConfig:
             q_dropout=cfg["net.q_dropout"],
             policy_dropout=cfg["net.policy_dropout"],
             support_bins=cfg["net.support_bins"],
-            dense_actions=cfg["net.dense_actions"],
             q_epochs=cfg["net.q_epochs"],
             policy_epochs=cfg["net.policy_epochs"],
             batch_size=cfg["net.batch_size"],
             upsample_classes=cfg["upsample.classes"],
-            upsample_min_count=cfg["upsample.min_count"],
         )
 
 
-def _auto_min_count(configured: int, n: int) -> int:
-    return configured if configured > 0 else max(50, n // 20)
+def share_mode_for(game: Game) -> str:
+    """How one value network stands for every player: 'zero_sum' (two
+    players whose values sum to 1), 'identical' (every player gets the
+    same value) or 'none' (one network per player)."""
+    if game.reward_symmetry == "zero_sum" and game.num_players == 2:
+        return "zero_sum"
+    if game.reward_symmetry == "identical":
+        return "identical"
+    return "none"
 
 
-class LayerValueSource:
-    """Per-player value lookups for all joint actions of layer states."""
-
-    def joint_values(self, game: Game, states: list[GameState]) -> np.ndarray:
-        """Values in [0, 1], shape (len(states), prod(A), N)."""
-        raise NotImplementedError
+def value_players(share_mode: str, n: int) -> list[int]:
+    """The players that own a value network under ``share_mode``."""
+    return [0] if share_mode != "none" else list(range(n))
 
 
-class TabularValueSource(LayerValueSource):
+def fill_shared(values: np.ndarray, share_mode: str) -> np.ndarray:
+    """Fill the other players' entries on the last axis from player 0's,
+    in place; returns ``values``."""
+    if share_mode == "zero_sum":
+        values[..., 1] = 1.0 - values[..., 0]
+    elif share_mode == "identical":
+        values[..., 1:] = values[..., :1]
+    return values
+
+
+class TabularValueSource:
+    """Per-player values of every joint action of layer states, looked
+    up in a table fitted on the layer's edges."""
+
     def __init__(self, table: TabularQ):
         self.table = table
 
     def joint_values(self, game, states):
-        counts = game.spec.action_counts
-        joints = list(itertools.product(*(range(a) for a in counts)))
+        """Values in [0, 1], shape (len(states), prod(A), N)."""
+        joints = joint_actions(game.spec.action_counts).tolist()
         n = game.num_players
         out = np.empty((len(states), len(joints), n))
         for si, s in enumerate(states):
@@ -125,50 +135,36 @@ class TabularValueSource(LayerValueSource):
         return out
 
 
-class MlpValueSource(LayerValueSource):
-    """Backed by per-player value networks, or one shared network whose
-    output maps to the other players by the game's reward symmetry."""
+class MlpValueSource:
+    """Per-player values of every joint action of layer states, from
+    per-player value networks, or one shared network whose output maps
+    to the other players by the game's reward symmetry."""
 
     def __init__(self, models: dict, share_mode: str):
         self.models = models           # player index -> QValueModel
-        self.share_mode = share_mode   # 'none', 'zero_sum' or 'identical'
+        self.share_mode = share_mode   # see share_mode_for
 
     def joint_values(self, game, states):
-        counts = game.spec.action_counts
-        joints = list(itertools.product(*(range(a) for a in counts)))
+        """Values in [0, 1], shape (len(states), prod(A), N)."""
+        joints = joint_actions(game.spec.action_counts)
         n = game.num_players
         b, j = len(states), len(joints)
         out = np.empty((b, j, n))
-        players = [0] if self.share_mode != "none" else list(range(n))
-        for p in players:
+        joints_rep = np.tile(joints, (b, 1))
+        for p in value_players(self.share_mode, n):
             obs = np.stack([game.observe(s, p) for s in states])
             obs_rep = np.repeat(obs, j, axis=0)
-            joints_rep = joints * b
             vals = self.models[p].predict(obs_rep, joints_rep).reshape(b, j)
             out[:, :, p] = vals
-        if self.share_mode == "zero_sum":
-            out[:, :, 1] = 1.0 - out[:, :, 0]
-        elif self.share_mode == "identical":
-            for p in range(1, n):
-                out[:, :, p] = out[:, :, 0]
-        return out
-
-
-def share_mode_for(game: Game, backend: str) -> str:
-    if backend != "mlp":
-        return "none"
-    if game.reward_symmetry == "zero_sum" and game.num_players == 2:
-        return "zero_sum"
-    if game.reward_symmetry == "identical":
-        return "identical"
-    return "none"
+        return fill_shared(out, self.share_mode)
 
 
 def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
                      iteration: int, rng: np.random.Generator):
     """Fit the per-layer value backend on edge records.
 
-    Returns (LayerValueSource, models dict or table, mean fit loss).
+    Returns (value source, mean fit loss); the source is what the layer
+    keeps for stage games, tree rollouts and checkpoints.
     """
     records = dataset.records
     if not records:
@@ -179,25 +175,24 @@ def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
         if len(table.table) > tc.tabular_cap:
             raise ValueError(f"tabular backend over cap: "
                              f"{len(table.table)} > {tc.tabular_cap}")
-        return TabularValueSource(table), table, 0.0
+        return TabularValueSource(table), 0.0
 
-    share = share_mode_for(game, tc.value_backend)
+    share = share_mode_for(game)
     codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
-    players = [0] if share != "none" else list(range(game.num_players))
     models = {}
     losses = []
-    for p in players:
+    for p in value_players(share, game.num_players):
         data = [((game.observe(r.state, p), r.joint), float(r.value[p]))
                 for r in records]
-        min_count = _auto_min_count(tc.upsample_min_count, len(data))
-        data = upsample_values(data, tc.upsample_classes, min_count, rng)
+        data = upsample_values(data, tc.upsample_classes,
+                               max(50, len(data) // 20), rng)
         model = QValueModel(
             obs_size=game.observation_size,
             action_counts=game.spec.action_counts, codec=codec,
             trunk_hidden=(tc.q_hidden, tc.q_hidden), rep_size=tc.q_rep,
             head_hidden=(tc.q_hidden, tc.q_hidden),
-            dense_actions=tc.dense_actions, dropout_rate=tc.q_dropout,
-            l2_coeff=tc.q_l2, learning_rate=tc.learning_rate,
+            dropout_rate=tc.q_dropout, l2_coeff=tc.q_l2,
+            learning_rate=tc.learning_rate,
             seed=tc.seed + 7919 * iteration + 101 * h + p)
         obs = np.stack([d[0][0] for d in data])
         joints = [d[0][1] for d in data]
@@ -205,15 +200,14 @@ def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
         losses.append(model.fit(obs, joints, values, tc.q_epochs,
                                 tc.batch_size, rng))
         models[p] = model
-    return (MlpValueSource(models, share), models,
-            float(np.mean(losses)))
+    return MlpValueSource(models, share), float(np.mean(losses))
 
 
 @dataclass
 class LayerResult:
     values: dict                   # state key -> per-player value vector
     dataset: object                # QDataset the value model was fit on
-    models: object                 # fitted value backend for this layer
+    source: object                 # the layer's fitted value source
     fit_loss: float
     policy_records: list           # (player, observation, policy) triples
     mean_epsilon: float            # over the first VERIFY_NODES states
@@ -250,8 +244,8 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     if not nodes:
         raise ValueError(f"empty layer {h}")
     dataset = build_q_dataset(tree, h, child_values)
-    source, models, fit_loss = fit_layer_values(game, dataset, tc, h,
-                                                iteration, rng)
+    source, fit_loss = fit_layer_values(game, dataset, tc, h, iteration,
+                                        rng)
 
     counts = game.spec.action_counts
     n = game.num_players
@@ -260,16 +254,13 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     values = source.joint_values(game, states)       # (B, J, N)
     tensors = np.clip(1.0 - values.reshape((len(nodes), *counts, n)),
                       0.0, 1.0)
-    masks = legal
-    if tc.prune:
-        masks = [prune_dominated(StageGame(n, counts, loss_tensor=t),
-                                 legal=row)
-                 for t, row in zip(tensors, legal)]
+    stages = [StageGame(n, counts, loss_tensor=t) for t in tensors]
+    masks = [prune_dominated(stage, legal=row)
+             for stage, row in zip(stages, legal)]
     batch = ma_exp_ix_batch(tensors, tc.cce_rounds,
                             masks=stack_masks(masks, counts), rng=rng)
     eps = [verify_cce(batch.joint_counts[bi].reshape(counts) / batch.rounds,
-                      StageGame(n, counts, loss_tensor=tensors[bi]),
-                      legal=legal[bi])
+                      stages[bi], legal=legal[bi])
            for bi in range(min(VERIFY_NODES, len(nodes)))]
 
     values_out = {}
@@ -279,29 +270,23 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
         for p in range(n):
             policy_records.append((p, game.observe(state, p),
                                    batch.policies[bi, p, :counts[p]]))
-    return LayerResult(values=values_out, dataset=dataset, models=models,
+    return LayerResult(values=values_out, dataset=dataset, source=source,
                        fit_loss=fit_loss, policy_records=policy_records,
                        mean_epsilon=float(np.mean(eps)))
 
 
 class TrainedAgent:
-    """Per-player policy networks plus the last iteration's value models."""
+    """Per-player policy networks plus the last iteration's per-layer
+    value sources."""
 
     def __init__(self, game: Game, policy_models: list, value_models: dict,
-                 share_mode: str, name: str = "nncce"):
+                 name: str = "nncce"):
         self.game = game
         self.policy_models = policy_models
-        self.value_models = value_models       # (h) -> backend models
-        self.share_mode = share_mode
+        self.value_models = value_models       # layer h -> value source
         self.name = name
         self.training_log: list = []
         self.gate_score: float | None = None
-
-    def value_model_count(self) -> int:
-        count = 0
-        for models in self.value_models.values():
-            count += 1 if isinstance(models, TabularQ) else len(models)
-        return count
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
         obs = self.game.observe(state, player)
@@ -315,7 +300,8 @@ class TrainedAgent:
 
 class AgentPolicySource:
     """Tree-rollout predictions from a trained agent: policy-network
-    weights, and node values as the policy-weighted value-model mean."""
+    weights, and node values as the policy-weighted mean of the layer
+    value source's joint values."""
 
     def __init__(self, agent: TrainedAgent):
         self.agent = agent
@@ -325,21 +311,12 @@ class AgentPolicySource:
             return game.terminal_returns(state), None
         weights = [self.agent.policy(state, p)
                    for p in range(game.num_players)]
-        h = state.timestep
-        counts = game.spec.action_counts
         value = np.full(game.num_players, 0.5)
-        models = self.agent.value_models.get(h)
-        if models is not None:
-            if isinstance(models, TabularQ):
-                source = TabularValueSource(models)
-            else:
-                source = MlpValueSource(models, self.agent.share_mode)
+        source = self.agent.value_models.get(state.timestep)
+        if source is not None:
             vals = source.joint_values(game, [state])[0]   # (J, N)
-            joints = np.array(list(itertools.product(
-                *(range(a) for a in counts))))
-            probs = np.ones(len(joints))
-            for p in range(game.num_players):
-                probs *= np.asarray(weights[p])[joints[:, p]]
+            # joint probabilities in the C order of joint_actions
+            probs = functools.reduce(np.multiply.outer, weights).ravel()
             total = probs.sum()
             if total > 0:
                 value = (vals * (probs / total)[:, None]).sum(axis=0)
@@ -435,7 +412,6 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
     if game is None:
         game = game_from_id(tc.game_id)
     rng = np.random.default_rng(tc.seed)
-    share = share_mode_for(game, tc.value_backend)
 
     accepted: TrainedAgent | None = None
     accepted_score: float | None = None
@@ -458,7 +434,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         policy_data = [[] for _ in range(game.num_players)]
         for h in range(frontier - 1, -1, -1):
             result = process_layer(game, tree, h, child_values, tc, it, rng)
-            value_models[h] = result.models
+            value_models[h] = result.source
             child_values = result.values
             for p, obs, policy in result.policy_records:
                 policy_data[p].append((obs, policy))
@@ -472,9 +448,9 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             log.info("iter %d layer %d: %d states, mean value %.4f",
                      it, h, len(result.values), mean_v)
 
-        if accepted is not None and tc.warm_start:
-            # deep copy so a rolled-back candidate can't corrupt the
-            # accepted agent's parameters
+        if accepted is not None:
+            # warm start; deep copy so a rolled-back candidate can't
+            # corrupt the accepted agent's parameters
             policy_models = copy.deepcopy(accepted.policy_models)
         else:
             policy_models = _new_policy_models(game, tc, it)
@@ -485,7 +461,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             policy_losses.append(policy_models[p].fit(
                 obs, targets, tc.policy_epochs, tc.batch_size, rng))
 
-        candidate = TrainedAgent(game, policy_models, value_models, share)
+        candidate = TrainedAgent(game, policy_models, value_models)
         decision = validation_gate(candidate, accepted_score, game,
                                    tc.gate_matches,
                                    seed=tc.seed + 500_000 + it)

@@ -1,6 +1,7 @@
 """Tests for the numpy network stack: codec, MLP gradients, composed
 models, tabular values and binary checkpoints."""
 
+import itertools
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from equilearn.approx.codec import (SupportCodec, scalar_to_support,
                                     support_to_scalar)
 from equilearn.approx.mlp import MlpModel, train_epochs
 from equilearn.approx.models import (ComposedModel, PolicyModel, QValueModel,
-                                     ValueModel, encode_joint)
+                                     ValueModel, encode_joint, joint_actions)
 from equilearn.approx.tabular import TabularQ, fit_tabular
 
 
@@ -187,9 +188,27 @@ def test_q_value_model_fits_simple_function():
 def test_encode_joint():
     np.testing.assert_allclose(encode_joint((1, 0), (2, 3)),
                                [0, 1, 1, 0, 0])
-    dense = encode_joint((1, 2), (2, 3), dense=True)
-    assert dense.shape == (6,)
-    assert dense[5] == 1.0 and dense.sum() == 1.0
+
+
+def test_joint_actions_follow_product_order():
+    counts = (2, 3, 4)
+    assert joint_actions(counts).tolist() == [
+        list(j) for j in itertools.product(*(range(a) for a in counts))]
+
+
+def test_encode_joint_matches_per_player_one_hots():
+    counts = (2, 3, 4)
+    joints = list(itertools.product(*(range(a) for a in counts)))
+    expected = np.zeros((len(joints), sum(counts)))
+    for row, joint in enumerate(joints):
+        off = 0
+        for a, count in zip(joint, counts):
+            expected[row, off + a] = 1.0
+            off += count
+    for rows in (joints, np.array(joints, dtype=np.int64)):
+        out = encode_joint(rows, counts)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 # -- tabular ---------------------------------------------------------------
@@ -209,7 +228,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     meta = CheckpointMeta(game="matrix:mp", player=1, timestep=3,
                           model_kind="q", codec=SupportCodec(num_bins=5),
                           trunk_dims=[2, 4, 3], head_dims=[8, 4, 5],
-                          action_counts=(2, 3), dense_actions=True)
+                          action_counts=(2, 3))
     arrays = [np.random.default_rng(0).normal(size=(3, 4)).astype("<f4"),
               np.arange(5, dtype="<f4")]
     p1 = tmp_path / "a.ccef"
@@ -223,6 +242,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded_meta.codec == SupportCodec(num_bins=5)
     for a, b in zip(arrays, loaded_arrays):
         np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_rejects_dense_action_encoding(tmp_path):
+    """The byte before the array count names the action encoding; only
+    0 (per-player one-hots) is read."""
+    path = tmp_path / "q.ccef"
+    save_checkpoint(str(path), CheckpointMeta(action_counts=(2, 3)), [])
+    raw = bytearray(path.read_bytes())
+    assert raw[-5] == 0
+    raw[-5] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="action encoding"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

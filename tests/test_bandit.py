@@ -146,7 +146,7 @@ ZERO_WEIGHT_TRAPS = {
 
 DRAW_SITES = {
     "trained-agent": lambda game, row, rng: TrainedAgent(
-        game, [_FixedPolicy(row)], {}, "none").act(game, None, 0, rng),
+        game, [_FixedPolicy(row)], {}).act(game, None, 0, rng),
     "smcts-policy-play": lambda game, row, rng: SmctsAgent(
         game, {}, [_FixedPolicy(row)], "none",
         search_play=False).act(game, None, 0, rng),

@@ -166,7 +166,7 @@ def test_smcts_train_smoke():
 
 def _small_agent(game, seed, name, simulations=4):
     """An untrained FAST_NET-sized search agent."""
-    share = share_mode_for(game, "mlp")
+    share = share_mode_for(game)
     players = [0] if share != "none" else range(game.num_players)
     codec = SupportCodec(num_bins=5)
     values = {p: ValueModel(game.observation_size, codec, trunk_hidden=(8, 8),

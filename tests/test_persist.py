@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from equilearn.baseline import smcts_train
+from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
+    ValueModel
+from equilearn.baseline import SmctsAgent, smcts_train
 from equilearn.config import Config
+from equilearn.games import game_from_id
 from equilearn.persist import (load_policy_agent, load_smcts_agent,
                                sanitize_game_id, save_smcts_agent,
                                save_trained_agent)
-from equilearn.trainer import train
+from equilearn.trainer import MlpValueSource, TrainedAgent, train
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -33,13 +36,16 @@ def test_trained_agent_roundtrip(tmp_path):
     # game is inferred from checkpoint metadata
     restored = load_policy_agent(str(tmp_path))
     assert restored.game.spec.action_counts == (2, 2)
-    assert restored.share_mode == agent.share_mode
     state = restored.game.start_states()[0][0]
     for p in range(2):
         np.testing.assert_allclose(restored.policy(state, p),
                                    agent.policy(state, p), atol=1e-4)
-    # value networks reload per layer
+    # value networks reload per layer, under the same share mode
     assert set(restored.value_models) == set(agent.value_models)
+    for h, source in agent.value_models.items():
+        loaded = restored.value_models[h]
+        assert loaded.share_mode == source.share_mode == "zero_sum"
+        assert set(loaded.models) == set(source.models) == {0}
 
 
 def test_smcts_agent_roundtrip(tmp_path):
@@ -66,3 +72,36 @@ def test_load_rejects_missing_directory(tmp_path):
     empty.mkdir()
     with pytest.raises(FileNotFoundError):
         load_policy_agent(str(empty))
+
+
+def _tiny_policies(game):
+    return [PolicyModel(game.observation_size, game.spec.action_counts[p],
+                        trunk_hidden=(4,), rep_size=3, head_hidden=(4,),
+                        seed=p)
+            for p in range(game.num_players)]
+
+
+@pytest.mark.parametrize("game_id, players", [
+    ("matrix:mp", (0, 1)),      # zero-sum: only player 0 owns a network
+    ("pursuit", (0,)),          # no symmetry: every player owns one
+])
+def test_loaders_reject_value_players_against_share_mode(tmp_path, game_id,
+                                                         players):
+    game = game_from_id(game_id)
+    codec = SupportCodec(num_bins=5)
+    q = {p: QValueModel(game.observation_size, game.spec.action_counts,
+                        codec, trunk_hidden=(4,), rep_size=3,
+                        head_hidden=(4,), seed=p) for p in players}
+    agent = TrainedAgent(game, _tiny_policies(game),
+                         {0: MlpValueSource(q, "none")})
+    save_trained_agent(agent, str(tmp_path / "policy"), game_id)
+    with pytest.raises(ValueError, match="value networks for players"):
+        load_policy_agent(str(tmp_path / "policy"))
+
+    v = {p: ValueModel(game.observation_size, codec, trunk_hidden=(4,),
+                       rep_size=3, head_hidden=(4,), seed=p)
+         for p in players}
+    smcts = SmctsAgent(game, v, _tiny_policies(game), "none")
+    save_smcts_agent(smcts, str(tmp_path / "smcts"), game_id)
+    with pytest.raises(ValueError, match="value networks for players"):
+        load_smcts_agent(str(tmp_path / "smcts"))

@@ -1,18 +1,24 @@
 """Tests for the backward-layer training loop and its pieces."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
+    fit_tabular
 from equilearn.config import Config
 from equilearn.data import GameTree, TreeNode, UniformPolicySource, \
     generate_tree
 from equilearn.games import game_from_id
 from equilearn.games.matrix import ChainGame, matching_pennies, \
     prisoners_dilemma
-from equilearn.trainer import (TrainConfig, TrainedAgent, deepest_layer,
-                               frontier_values, grounding_layer,
-                               process_layer, share_mode_for, train,
-                               validation_gate)
+from equilearn.trainer import (AgentPolicySource, MlpValueSource,
+                               TabularValueSource, TrainConfig, TrainedAgent,
+                               deepest_layer, frontier_values,
+                               grounding_layer, process_layer,
+                               share_mode_for, train, validation_gate,
+                               value_players)
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -36,9 +42,96 @@ def _tabular_tc(**over):
 
 
 def test_share_mode_for():
-    assert share_mode_for(matching_pennies(), "mlp") == "zero_sum"
-    assert share_mode_for(matching_pennies(), "tabular") == "none"
-    assert share_mode_for(prisoners_dilemma(), "mlp") == "none"
+    assert share_mode_for(matching_pennies()) == "zero_sum"
+    assert share_mode_for(prisoners_dilemma()) == "none"
+
+
+def _tiny_policies(game):
+    return [PolicyModel(game.observation_size, game.spec.action_counts[p],
+                        trunk_hidden=(6,), rep_size=4, head_hidden=(6,),
+                        dropout_rate=0.0, seed=10 + p)
+            for p in range(game.num_players)]
+
+
+def _mlp_source(game):
+    codec = SupportCodec(num_bins=5)
+    share = share_mode_for(game)
+    players = value_players(share, game.num_players)
+    return MlpValueSource({p: QValueModel(
+        game.observation_size, game.spec.action_counts, codec,
+        trunk_hidden=(6,), rep_size=4, head_hidden=(6,), dropout_rate=0.0,
+        seed=p) for p in players}, share)
+
+
+def _tabular_source(game):
+    """A table over some of the joint actions of the layer-0 states; the
+    rest fall back to the table's default."""
+    rng = np.random.default_rng(5)
+    tree = generate_tree(game, UniformPolicySource(), 50, rng=rng)
+    counts = game.spec.action_counts
+    joints = list(itertools.product(*(range(a) for a in counts)))
+    records = [(node.state.key(), j, rng.random(game.num_players))
+               for node in tree.layer_of(0) for j in joints[::2]]
+    return TabularValueSource(fit_tabular(records))
+
+
+def _walk(game, steps, seed=0):
+    """The states of one uniform random walk, terminal state excluded."""
+    rng = np.random.default_rng(seed)
+    state = game.sample_start(rng)
+    out = []
+    while not state.terminal and len(out) < steps:
+        out.append(state)
+        joint = tuple(int(rng.choice(game.legal_actions(state, p)))
+                      for p in range(game.num_players))
+        state = game.step(state, joint).next_state
+    return out
+
+
+@pytest.mark.parametrize("game_id, make_source", [
+    ("pursuit", _mlp_source),          # 3 players, 125 joint actions
+    ("chain:1", _tabular_source),
+])
+def test_agent_policy_source_is_policy_weighted_joint_value_mean(
+        game_id, make_source):
+    game = game_from_id(game_id)
+    source = make_source(game)
+    agent = TrainedAgent(game, _tiny_policies(game),
+                         {h: source for h in range(game.horizon)})
+    counts = game.spec.action_counts
+    joints = list(itertools.product(*(range(a) for a in counts)))
+    assert len(joints) == int(np.prod(counts))
+    for state in _walk(game, 3):
+        value, weights = AgentPolicySource(agent).predict(game, state)
+        vals = source.joint_values(game, [state])[0]
+        assert vals.shape == (len(joints), game.num_players)
+        total = 0.0
+        expected = np.zeros(game.num_players)
+        for row, joint in enumerate(joints):
+            w = 1.0
+            for p, a in enumerate(joint):
+                w *= agent.policy(state, p)[a]
+            total += w
+            expected += w * vals[row]
+        np.testing.assert_allclose(value, expected / total, rtol=1e-12)
+        for p in range(game.num_players):
+            np.testing.assert_array_equal(weights[p],
+                                          agent.policy(state, p))
+
+
+def test_joint_values_rows_follow_product_order():
+    game = game_from_id("pursuit")
+    source = _mlp_source(game)
+    state = game.sample_start(np.random.default_rng(0))
+    vals = source.joint_values(game, [state])[0]
+    joints = list(itertools.product(*(range(a) for a in
+                                      game.spec.action_counts)))
+    for row in (0, 7, 64, 124):
+        for p in range(game.num_players):
+            single = source.models[p].predict(game.observe(state, p),
+                                              [joints[row]])
+            assert vals[row, p] == pytest.approx(float(single[0]),
+                                                 rel=1e-12)
 
 
 def test_grounding_layer_keeps_saturated_terminal():
