@@ -10,74 +10,20 @@ run a fresh per-move search or play its distilled policy directly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import harness
-from .approx import PolicyModel, SupportCodec, ValueModel
+from .approx import SupportCodec, ValueModel
 from .bandit import legal_policy, sample_index
-from .cce import normalize_losses
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
                    generate_tree, replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState
-from .trainer import (GateDecision, fill_shared, share_mode_for,
-                      validation_gate, value_players)
-
-log = logging.getLogger("equilearn.baseline")
-
-RandomAgent = harness.RandomAgent
-
-
-@dataclass(frozen=True)
-class SmctsConfig:
-    game_id: str
-    seed: int
-    simulations: int
-    iterations: int
-    batches: int
-    eval_simulations: int
-    search_play: bool
-    randomize_prob: float
-    patience: int
-    gate_matches: int
-    q_hidden: int
-    q_rep: int
-    policy_hidden: int
-    policy_rep: int
-    learning_rate: float
-    q_l2: float
-    policy_l2: float
-    q_dropout: float
-    policy_dropout: float
-    support_bins: int
-    batch_size: int
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "SmctsConfig":
-        return cls(
-            game_id=cfg["game"], seed=cfg["seed"],
-            simulations=cfg["smcts.simulations"],
-            iterations=cfg["smcts.iterations"],
-            batches=cfg["smcts.batches"],
-            eval_simulations=cfg["smcts.eval_simulations"],
-            search_play=cfg["smcts.search_play"],
-            randomize_prob=cfg["train.randomize_prob"],
-            patience=cfg["train.patience"],
-            gate_matches=cfg["train.gate_matches"],
-            q_hidden=cfg["net.q_hidden"], q_rep=cfg["net.q_rep"],
-            policy_hidden=cfg["net.policy_hidden"],
-            policy_rep=cfg["net.policy_rep"],
-            learning_rate=cfg["net.learning_rate"],
-            q_l2=cfg["net.q_l2"], policy_l2=cfg["net.policy_l2"],
-            q_dropout=cfg["net.q_dropout"],
-            policy_dropout=cfg["net.policy_dropout"],
-            support_bins=cfg["net.support_bins"],
-            batch_size=cfg["net.batch_size"],
-        )
+from .trainer import (TrainConfig, TrainedAgent, fill_shared,
+                      frontier_values, gated_training, grounding_layer,
+                      new_policy_models, share_mode_for, value_players)
 
 
 def _sigmoid(x):
@@ -87,19 +33,14 @@ def _sigmoid(x):
 def backup_tree_values(game: Game, tree: GameTree):
     """Replace node values bottom-up with visit-weighted child means.
 
-    Deepest-layer nodes take 1 minus the min-max-normalized loss of
-    their accumulated returns over the layer (exact terminal returns
-    when the tree reaches the horizon), so backed-up values share the
-    [0, 1] scale of the model estimates interior leaves keep.
+    Grounding-layer nodes take the backward pass's frontier values
+    (``trainer.frontier_values``), so backed-up values share the [0, 1]
+    scale of the model estimates interior leaves keep.
     """
-    from .trainer import grounding_layer
     frontier = grounding_layer(tree)
-    deepest = tree.layer_of(frontier)
-    returns = np.stack([game.accumulated_returns(n.state)
-                        for n in deepest])
-    grounded = 1.0 - normalize_losses(returns)
-    for node, v in zip(deepest, grounded):
-        node.value = v
+    grounded = frontier_values(game, tree, frontier)
+    for node in tree.layer_of(frontier):
+        node.value = grounded[node.state.key()]
     for h in range(frontier - 1, -1, -1):
         for node in tree.layer_of(h):
             if not node.children:
@@ -160,26 +101,23 @@ class _LastSearch:
     served: set = field(default_factory=set)
 
 
-class SmctsAgent:
+class SmctsAgent(TrainedAgent):
     """Search-at-play or distilled-policy agent over the fitted models.
 
     With ``search_play`` the agent searches each state once and serves
     every player it controls on that state from the one search's root
-    policies, drawing one action per player.
+    policies, drawing one action per player; otherwise it plays its
+    policy networks as a TrainedAgent does.
     """
 
     def __init__(self, game: Game, value_models: dict, policy_models: list,
                  share_mode: str, eval_simulations: int = 100,
                  search_play: bool = True, name: str = "smcts"):
-        self.game = game
-        self.value_models = value_models     # player -> ValueModel
-        self.policy_models = policy_models
+        # value_models: player -> ValueModel over the state alone
+        super().__init__(game, policy_models, value_models, name=name)
         self.share_mode = share_mode
         self.eval_simulations = eval_simulations
         self.search_play = search_play
-        self.name = name
-        self.training_log: list = []
-        self.gate_score: float | None = None
         self._last_search: _LastSearch | None = None
 
     def state_value(self, state: GameState) -> np.ndarray:
@@ -190,25 +128,18 @@ class SmctsAgent:
             out[p] = float(self.value_models[p].predict(obs)[0])
         return fill_shared(out, self.share_mode)
 
-    def policy(self, state: GameState, player: int) -> np.ndarray:
-        obs = self.game.observe(state, player)
-        return legal_policy(self.policy_models[player].predict(obs)[0],
-                            self.game.legal_actions(state, player))
-
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
-        if self.search_play:
-            last = self._last_search
-            if (last is None or last.state is not state or last.rng is not rng
-                    or player in last.served):
-                _, policies = smcts_search(game, state, SmctsSource(self),
-                                           self.eval_simulations, rng)
-                last = self._last_search = _LastSearch(state, rng, policies)
-            last.served.add(player)
-            p = last.policies[player]
-        else:
-            p = self.policy(state, player)
-        return sample_index(p, rng)
+        if not self.search_play:
+            return super().act(game, state, player, rng)
+        last = self._last_search
+        if (last is None or last.state is not state or last.rng is not rng
+                or player in last.served):
+            _, policies = smcts_search(game, state, SmctsSource(self),
+                                       self.eval_simulations, rng)
+            last = self._last_search = _LastSearch(state, rng, policies)
+        last.served.add(player)
+        return sample_index(last.policies[player], rng)
 
 
 @dataclass
@@ -281,49 +212,35 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
 def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
     """Fit search-guided value and policy networks under the same
     validation gate as equilibrium training."""
-    sc = SmctsConfig.from_config(cfg)
+    tc = TrainConfig.from_config(cfg)
     if game is None:
-        game = game_from_id(sc.game_id)
-    rng = np.random.default_rng(sc.seed)
+        game = game_from_id(tc.game_id)
+    rng = np.random.default_rng(tc.seed)
     share = share_mode_for(game)
     players = value_players(share, game.num_players)
-    codec = SupportCodec(num_bins=sc.support_bins, lo=0.0, hi=1.0)
+    codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
 
-    accepted: SmctsAgent | None = None
-    accepted_score: float | None = None
-    training_log: list = []
-    stale = 0
-
-    for it in range(sc.iterations):
+    def make_candidate(it: int, accepted: SmctsAgent | None):
         source = (UniformPolicySource() if accepted is None
                   else SmctsSource(accepted))
-        tree = generate_tree(game, source, sc.simulations,
-                             randomize=sc.randomize_prob, rng=rng)
+        tree = generate_tree(game, source, tc.smcts_simulations,
+                             randomize=tc.randomize_prob, rng=rng)
         backup_tree_values(game, tree)
         buffer = ReplayBuffer()
         tree_to_replay(game, tree, buffer)
 
         value_models = {p: ValueModel(
             obs_size=game.observation_size, codec=codec,
-            trunk_hidden=(sc.q_hidden, sc.q_hidden), rep_size=sc.q_rep,
-            head_hidden=(sc.q_hidden, sc.q_hidden),
-            dropout_rate=sc.q_dropout, l2_coeff=sc.q_l2,
-            learning_rate=sc.learning_rate,
-            seed=sc.seed + 7919 * it + p) for p in players}
-        policy_models = [PolicyModel(
-            obs_size=game.observation_size,
-            num_actions=game.spec.action_counts[p],
-            trunk_hidden=(sc.policy_hidden, sc.policy_hidden),
-            rep_size=sc.policy_rep,
-            head_hidden=(sc.policy_hidden, sc.policy_hidden),
-            dropout_rate=sc.policy_dropout, l2_coeff=sc.policy_l2,
-            learning_rate=sc.learning_rate,
-            seed=sc.seed + 1009 * it + p)
-            for p in range(game.num_players)]
+            trunk_hidden=(tc.q_hidden, tc.q_hidden), rep_size=tc.q_rep,
+            head_hidden=(tc.q_hidden, tc.q_hidden),
+            dropout_rate=tc.q_dropout, l2_coeff=tc.q_l2,
+            learning_rate=tc.learning_rate,
+            seed=tc.seed + 7919 * it + p) for p in players}
+        policy_models = new_policy_models(game, tc, it)
 
         v_losses, p_losses = [], []
-        for _ in range(sc.batches):
-            batch = replay_sample(buffer, sc.batch_size, rng)
+        for _ in range(tc.smcts_batches):
+            batch = replay_sample(buffer, tc.batch_size, rng)
             for p in players:
                 sub = [e for e in batch if e.player == p]
                 if not sub:
@@ -331,7 +248,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                 obs = np.stack([e.observations[p] for e in sub])
                 vals = np.array([e.value for e in sub])
                 v_losses.append(value_models[p].fit(obs, vals, 1,
-                                                    sc.batch_size, rng))
+                                                    tc.batch_size, rng))
             for p in range(game.num_players):
                 sub = [e for e in batch if e.player == p]
                 if not sub:
@@ -339,34 +256,16 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                 obs = np.stack([e.observations[p] for e in sub])
                 pols = np.stack([e.policy for e in sub])
                 p_losses.append(policy_models[p].fit(obs, pols, 1,
-                                                     sc.batch_size, rng))
+                                                     tc.batch_size, rng))
 
         candidate = SmctsAgent(game, value_models, policy_models, share,
-                               eval_simulations=sc.eval_simulations,
-                               search_play=sc.search_play)
-        decision: GateDecision = validation_gate(
-            candidate, accepted_score, game, sc.gate_matches,
-            seed=sc.seed + 700_000 + it)
-        training_log.append({
+                               eval_simulations=tc.eval_simulations,
+                               search_play=tc.search_play)
+        return candidate, [{
             "iteration": it, "replay_size": len(buffer),
             "value_loss": float(np.mean(v_losses)) if v_losses else None,
             "policy_loss": float(np.mean(p_losses)) if p_losses else None,
-            "gate": ("accept" if decision.accepted else "rollback")
-                    + f" score={decision.score:.4f}",
-        })
-        log.info("smcts iter %d: replay %d, gate %.4f -> %s", it,
-                 len(buffer), decision.score,
-                 "accept" if decision.accepted else "rollback")
-        if decision.accepted:
-            accepted = candidate
-            accepted_score = decision.score
-        stale = 0 if decision.improved else stale + 1
-        if stale >= sc.patience:
-            log.info("terminating after %d non-improving iterations", stale)
-            break
+        }]
 
-    if accepted is None:
-        raise RuntimeError("training produced no accepted agent")
-    accepted.training_log = training_log
-    accepted.gate_score = accepted_score
-    return accepted
+    return gated_training(game, tc.smcts_iterations, tc.patience,
+                          tc.gate_matches, tc.seed + 700_000, make_candidate)

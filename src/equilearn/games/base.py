@@ -9,6 +9,7 @@ accumulated per-player returns at terminal states.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +29,11 @@ class IllegalActionError(ValueError):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Static description of a stochastic game.
-
-    ``discount`` is carried for completeness but the finite-horizon
-    training loop never applies it; built-in games fix it to 1.
-    """
+    """Static description of a stochastic game."""
 
     num_players: int
     horizon: int
     action_counts: tuple[int, ...]
-    discount: float = 1.0
     metadata: str = ""
 
     def __post_init__(self):
@@ -49,8 +45,6 @@ class GameSpec:
             raise ValueError("action_counts must have one entry per player")
         if any(a < 1 for a in self.action_counts):
             raise ValueError("every player needs at least one action")
-        if not (0.0 < self.discount <= 1.0):
-            raise ValueError("discount must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -132,14 +126,20 @@ class Game(abc.ABC):
             return self.terminal_returns(state)
         return np.zeros(self.spec.num_players)
 
-    def sample_start(self, rng: np.random.Generator) -> GameState:
+    @functools.cached_property
+    def _start_distribution(self) -> tuple[list[GameState], np.ndarray]:
+        """The start states and their normalized probabilities, built
+        once per game."""
         states = self.start_states()
         probs = np.array([p for _, p in states])
         total = probs.sum()
         if abs(total - 1.0) > START_PROB_TOL:
             raise ValueError(f"start probabilities sum to {total}, not 1")
-        idx = rng.choice(len(states), p=probs / total)
-        return states[idx][0]
+        return [s for s, _ in states], probs / total
+
+    def sample_start(self, rng: np.random.Generator) -> GameState:
+        states, probs = self._start_distribution
+        return states[rng.choice(len(states), p=probs)]
 
     def check_joint(self, state: GameState, joint: tuple[int, ...]):
         if len(joint) != self.spec.num_players:

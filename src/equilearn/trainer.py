@@ -60,6 +60,11 @@ class TrainConfig:
     policy_epochs: int
     batch_size: int
     upsample_classes: int
+    smcts_simulations: int
+    smcts_iterations: int
+    smcts_batches: int
+    eval_simulations: int
+    search_play: bool
 
     @classmethod
     def from_config(cls, cfg: Config) -> "TrainConfig":
@@ -86,6 +91,11 @@ class TrainConfig:
             policy_epochs=cfg["net.policy_epochs"],
             batch_size=cfg["net.batch_size"],
             upsample_classes=cfg["upsample.classes"],
+            smcts_simulations=cfg["smcts.simulations"],
+            smcts_iterations=cfg["smcts.iterations"],
+            smcts_batches=cfg["smcts.batches"],
+            eval_simulations=cfg["smcts.eval_simulations"],
+            search_play=cfg["smcts.search_play"],
         )
 
 
@@ -394,7 +404,8 @@ def validation_gate(candidate: TrainedAgent, previous_score: float | None,
                         improved=score > previous_score)
 
 
-def _new_policy_models(game: Game, tc: TrainConfig, iteration: int):
+def new_policy_models(game: Game, tc: TrainConfig, iteration: int):
+    """Fresh per-player policy networks for an iteration's candidate."""
     return [PolicyModel(obs_size=game.observation_size,
                         num_actions=game.spec.action_counts[p],
                         trunk_hidden=(tc.policy_hidden, tc.policy_hidden),
@@ -406,6 +417,46 @@ def _new_policy_models(game: Game, tc: TrainConfig, iteration: int):
             for p in range(game.num_players)]
 
 
+def gated_training(game: Game, iterations: int, patience: int,
+                   gate_matches: int, gate_seed: int, make_candidate):
+    """The accept/rollback outer loop; returns the last accepted agent
+    with the run's training log and its gate score.
+
+    ``make_candidate(it, accepted)`` builds iteration ``it``'s candidate
+    from the last accepted agent (None until one is accepted) and
+    returns it with the iteration's log rows, the last of which is the
+    gate row: the loop adds its ``gate`` entry. Iteration ``it`` is
+    gated with seed ``gate_seed + it``, and the loop stops after
+    ``patience`` consecutive iterations that do not improve the score.
+    """
+    accepted: TrainedAgent | None = None
+    accepted_score: float | None = None
+    training_log: list = []
+    stale = 0
+    for it in range(iterations):
+        candidate, rows = make_candidate(it, accepted)
+        decision = validation_gate(candidate, accepted_score, game,
+                                   gate_matches, seed=gate_seed + it)
+        verdict = "accept" if decision.accepted else "rollback"
+        rows[-1]["gate"] = f"{verdict} score={decision.score:.4f}"
+        training_log.extend(rows)
+        log.info("iter %d gate: score %.4f -> %s", it, decision.score,
+                 verdict)
+        if decision.accepted:
+            accepted = candidate
+            accepted_score = decision.score
+        stale = 0 if decision.improved else stale + 1
+        if stale >= patience:
+            log.info("terminating after %d non-improving iterations", stale)
+            break
+
+    if accepted is None:
+        raise RuntimeError("training produced no accepted agent")
+    accepted.training_log = training_log
+    accepted.gate_score = accepted_score
+    return accepted
+
+
 def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
     """Run the full outer loop and return the last accepted agent."""
     tc = TrainConfig.from_config(cfg)
@@ -413,12 +464,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         game = game_from_id(tc.game_id)
     rng = np.random.default_rng(tc.seed)
 
-    accepted: TrainedAgent | None = None
-    accepted_score: float | None = None
-    training_log: list = []
-    stale = 0
-
-    for it in range(tc.outer_iters):
+    def make_candidate(it: int, accepted: TrainedAgent | None):
         if accepted is None:
             source = UniformPolicySource()
         else:
@@ -432,6 +478,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         child_values = frontier_values(game, tree, frontier)
         value_models: dict = {}
         policy_data = [[] for _ in range(game.num_players)]
+        rows = []
         for h in range(frontier - 1, -1, -1):
             result = process_layer(game, tree, h, child_values, tc, it, rng)
             value_models[h] = result.source
@@ -439,7 +486,7 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             for p, obs, policy in result.policy_records:
                 policy_data[p].append((obs, policy))
             mean_v = float(np.mean([v for v in result.values.values()]))
-            training_log.append({
+            rows.append({
                 "iteration": it, "layer": h, "mean_stage_value": mean_v,
                 "mean_epsilon": result.mean_epsilon,
                 "regression_loss": result.fit_loss,
@@ -453,37 +500,19 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             # corrupt the accepted agent's parameters
             policy_models = copy.deepcopy(accepted.policy_models)
         else:
-            policy_models = _new_policy_models(game, tc, it)
+            policy_models = new_policy_models(game, tc, it)
         policy_losses = []
         for p in range(game.num_players):
             obs = np.stack([o for o, _ in policy_data[p]])
             targets = np.stack([t for _, t in policy_data[p]])
             policy_losses.append(policy_models[p].fit(
                 obs, targets, tc.policy_epochs, tc.batch_size, rng))
-
-        candidate = TrainedAgent(game, policy_models, value_models)
-        decision = validation_gate(candidate, accepted_score, game,
-                                   tc.gate_matches,
-                                   seed=tc.seed + 500_000 + it)
-        training_log.append({
+        rows.append({
             "iteration": it, "layer": None, "mean_stage_value": None,
             "mean_epsilon": None, "regression_loss": None,
             "policy_loss": float(np.mean(policy_losses)),
-            "gate": ("accept" if decision.accepted else "rollback")
-                    + f" score={decision.score:.4f}",
         })
-        log.info("iter %d gate: score %.4f -> %s", it, decision.score,
-                 "accept" if decision.accepted else "rollback")
-        if decision.accepted:
-            accepted = candidate
-            accepted_score = decision.score
-        stale = 0 if decision.improved else stale + 1
-        if stale >= tc.patience:
-            log.info("terminating after %d non-improving iterations", stale)
-            break
+        return TrainedAgent(game, policy_models, value_models), rows
 
-    if accepted is None:
-        raise RuntimeError("training produced no accepted agent")
-    accepted.training_log = training_log
-    accepted.gate_score = accepted_score
-    return accepted
+    return gated_training(game, tc.outer_iters, tc.patience, tc.gate_matches,
+                          tc.seed + 500_000, make_candidate)

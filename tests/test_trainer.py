@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from equilearn import baseline, trainer
 from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
     fit_tabular
 from equilearn.config import Config
@@ -13,8 +14,9 @@ from equilearn.data import GameTree, TreeNode, UniformPolicySource, \
 from equilearn.games import game_from_id
 from equilearn.games.matrix import ChainGame, matching_pennies, \
     prisoners_dilemma
-from equilearn.trainer import (AgentPolicySource, MlpValueSource,
-                               TabularValueSource, TrainConfig, TrainedAgent,
+from equilearn.trainer import (AgentPolicySource, GateDecision,
+                               MlpValueSource, TabularValueSource,
+                               TrainConfig, TrainedAgent,
                                deepest_layer, frontier_values,
                                grounding_layer, process_layer,
                                share_mode_for, train, validation_gate,
@@ -267,3 +269,62 @@ def test_tabular_cap_enforced():
                   "train.tabular_cap": "3", "cce.rounds": "100", **FAST_NET})
     with pytest.raises(ValueError):
         train(cfg)
+
+
+# learner -> (module whose generate_tree it calls, its training function,
+# config, first gate seed)
+GATED_LEARNERS = {
+    "train": (trainer, train, {
+        "game": "matrix:mp", "train.outer_iters": "4",
+        "train.trajectories": "200", "train.cv_trees": "1",
+        "cce.rounds": "100"}, 500_000),
+    "smcts": (baseline, baseline.smcts_train, {
+        "game": "chain:1", "smcts.iterations": "4",
+        "smcts.simulations": "200", "smcts.batches": "3",
+        "smcts.eval_simulations": "4"}, 700_000),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(GATED_LEARNERS))
+def test_gated_loop_rolls_back_and_stops_on_patience(monkeypatch, learner):
+    """Scores 0.4, 0.2, 0.4 under patience 2: the first candidate is
+    accepted, the second is rolled back and feeds nothing after it, the
+    third ties and is accepted without improving, and the loop stops
+    there, a full iteration short of its four."""
+    module, fit, settings, gate_base = GATED_LEARNERS[learner]
+    scores = iter([0.4, 0.2, 0.4, 0.9])
+    gates = []
+
+    def scripted_gate(candidate, previous_score, game, n_matches, seed):
+        score = next(scores)
+        gates.append((candidate, previous_score, seed))
+        if previous_score is None:
+            return GateDecision(score, accepted=True, improved=True)
+        return GateDecision(score, accepted=score >= previous_score,
+                            improved=score > previous_score)
+
+    rollout_agents = []
+    generate = module.generate_tree
+
+    def recording_generate(game, source, *args, **kwargs):
+        rollout_agents.append(getattr(source, "agent", None))
+        return generate(game, source, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "validation_gate", scripted_gate)
+    monkeypatch.setattr(module, "generate_tree", recording_generate)
+    agent = fit(Config({**settings, "seed": "3", "train.patience": "2",
+                        "train.gate_matches": "4", **FAST_NET}))
+
+    candidates = [c for c, _, _ in gates]
+    assert len(gates) == 3
+    assert [prev for _, prev, _ in gates] == [None, 0.4, 0.4]
+    assert [seed for _, _, seed in gates] == [3 + gate_base + it
+                                             for it in range(3)]
+    assert agent is candidates[2]
+    assert agent.gate_score == 0.4
+    rows = [r["gate"] for r in agent.training_log if r["gate"]]
+    assert rows == ["accept score=0.4000", "rollback score=0.2000",
+                    "accept score=0.4000"]
+    # one tree per iteration (one candidate tree for train): the rolled
+    # back candidate never becomes the rollout policy
+    assert rollout_agents == [None, candidates[0], candidates[0]]
