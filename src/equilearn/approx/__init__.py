@@ -1,7 +1,7 @@
 from .checkpoint import (CheckpointMeta, load_checkpoint, load_model,
                          save_checkpoint, save_model)
 from .codec import SupportCodec, scalar_to_support, support_to_scalar
-from .mlp import MlpModel, TrainingDivergedError, train_epochs
+from .mlp import MlpModel, TrainingDivergedError
 from .models import (ComposedModel, PolicyModel, QValueModel, ValueModel,
                      encode_joint, joint_actions)
 from .tabular import TabularQ, fit_tabular
@@ -10,7 +10,6 @@ __all__ = [
     "MlpModel", "ComposedModel", "QValueModel", "PolicyModel", "ValueModel",
     "SupportCodec", "scalar_to_support", "support_to_scalar",
     "TabularQ", "fit_tabular", "TrainingDivergedError",
-    "train_epochs",
     "encode_joint", "joint_actions",
     "save_checkpoint", "load_checkpoint", "save_model", "load_model",
     "CheckpointMeta",

@@ -182,29 +182,3 @@ class MlpModel:
         if off != flat.size:
             raise ValueError("flat parameter size mismatch")
 
-
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield order[i:i + batch_size]
-
-
-def train_epochs(model, x, targets, epochs, batch_size,
-                 rng: np.random.Generator):
-    """Minibatch Adam training; returns mean loss of the final epoch."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if len(x) == 0:
-        raise ValueError("empty dataset")
-    last = 0.0
-    for _ in range(epochs):
-        losses = []
-        for idx in _batches(len(x), batch_size, rng):
-            loss, grads, _ = model.loss_grads(x[idx], targets[idx],
-                                              train_mode=True, rng=rng)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss {loss}")
-            model.adam_step(grads)
-            losses.append(loss)
-        last = float(np.mean(losses))
-    return last

@@ -14,7 +14,13 @@ import math
 import numpy as np
 
 from .codec import SupportCodec, scalar_to_support
-from .mlp import MlpModel, TrainingDivergedError, _batches
+from .mlp import MlpModel, TrainingDivergedError
+
+
+def _batches(n, batch_size, rng):
+    order = rng.permutation(n)
+    for i in range(0, n, batch_size):
+        yield order[i:i + batch_size]
 
 
 def joint_actions(action_counts) -> np.ndarray:

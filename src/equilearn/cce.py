@@ -137,6 +137,8 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
     :func:`~equilearn.bandit.sample_index`, the joint loss is looked up,
     and each player applies the IX update on its own chosen arm. The
     games are independent; the batch dimension only vectorizes them.
+    Games that leave every player one playable arm skip the sampling
+    and give the same result, and the same generator state after it.
     """
     if rounds < 1:
         raise ValueError("need at least 1 round")
@@ -172,27 +174,60 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
         strides[i] = acc
         acc *= action_counts[i]
 
-    log_w = np.zeros((b, n, a_max))
     neg_inf = np.where(masks, 0.0, -np.inf)
-    loss_sums = np.zeros((b, n))
-    counts = np.zeros((b, joint), dtype=np.int64)
-    bi = np.arange(b)[:, None]
+    # A forced game leaves every player one playable arm, which every
+    # round draws with p_sel exactly 1, so only live games sample. The
+    # forced games keep their per-round running adds (rounds * loss can
+    # differ in the last bit), and every round still draws the whole
+    # batch's uniforms, so the generator ends where it always did.
+    forced = (masks.sum(axis=2) == 1).all(axis=1)
+    fixed = np.flatnonzero(forced)
+    fixed_arm = masks[fixed].argmax(axis=2)                  # (F, N)
+    fixed_flat = fixed_arm @ strides
+    fixed_loss = flat_losses[fixed, fixed_flat]              # (F, N)
+    fixed_step = eta * fixed_loss / (1.0 + gamma)
+    fixed_sums = np.zeros((len(fixed), n))
+    fixed_w = np.zeros((len(fixed), n))
+
+    live = np.flatnonzero(~forced)
+    nl = len(live)
+    live_losses = flat_losses[live]
+    live_neg_inf = neg_inf[live]
+    live_w = np.zeros((nl, n, a_max))
+    live_sums = np.zeros((nl, n))
+    live_counts = np.zeros((nl, joint), dtype=np.int64)
+    li = np.arange(nl)
+    bi = li[:, None]
     ni = np.arange(n)[None, :]
     for _ in range(rounds):
-        lw = log_w + neg_inf
+        u = rng.random((b, n, 1))
+        fixed_sums += fixed_loss
+        fixed_w -= fixed_step
+        if not nl:
+            continue
+        lw = live_w + live_neg_inf
         lw -= lw.max(axis=2, keepdims=True)
         w = np.exp(lw)
         p = w / w.sum(axis=2, keepdims=True)
         c = np.cumsum(p, axis=2)
         c /= c[:, :, -1:]
-        u = rng.random((b, n, 1))
-        chosen = (u >= c).sum(axis=2)
+        chosen = (u[live] >= c).sum(axis=2)
         p_sel = p[bi, ni, chosen]
         flat = chosen @ strides
-        losses = flat_losses[np.arange(b), flat]          # (B, N)
-        loss_sums += losses
-        np.add.at(counts, (np.arange(b), flat), 1)
-        log_w[bi, ni, chosen] -= eta * losses / (p_sel + gamma)
+        losses = live_losses[li, flat]                   # (L, N)
+        live_sums += losses
+        np.add.at(live_counts, (li, flat), 1)
+        live_w[bi, ni, chosen] -= eta * losses / (p_sel + gamma)
+
+    log_w = np.zeros((b, n, a_max))
+    log_w[live] = live_w
+    log_w[fixed[:, None], ni, fixed_arm] = fixed_w
+    loss_sums = np.empty((b, n))
+    loss_sums[live] = live_sums
+    loss_sums[fixed] = fixed_sums
+    counts = np.zeros((b, joint), dtype=np.int64)
+    counts[live] = live_counts
+    counts[fixed, fixed_flat] = rounds
 
     lw = log_w + neg_inf
     lw -= lw.max(axis=2, keepdims=True)

@@ -88,3 +88,54 @@ def scalar_exp_ix(stage, rounds, mask, rng):
                             / (ps[i][a] + params.gamma_ix))
     return (visits, 1.0 - loss_sums / rounds,
             [policy(lw, m) for lw, m in zip(log_w, mask)])
+
+
+def dense_batch_exp_ix(loss_tensors, masks, rounds, params, rng):
+    """Simultaneous EXP-IX on a batch of stage games, every game sampled
+    every round: the reference the batch solver's forced-game shortcut
+    must match byte for byte.
+
+    ``loss_tensors`` has shape (B, A_1, ..., A_N, N) and ``masks``
+    (B, N, A_max). Returns (log-weights, policies, values, joint
+    counts).
+    """
+    b = loss_tensors.shape[0]
+    n = loss_tensors.shape[-1]
+    action_counts = loss_tensors.shape[1:-1]
+    a_max = max(action_counts)
+    joint = int(np.prod(action_counts))
+    flat_losses = loss_tensors.reshape(b, joint, n)
+    eta, gamma = params.eta, params.gamma_ix
+    strides = np.empty(n, dtype=int)
+    acc = 1
+    for i in range(n - 1, -1, -1):
+        strides[i] = acc
+        acc *= action_counts[i]
+
+    log_w = np.zeros((b, n, a_max))
+    neg_inf = np.where(masks, 0.0, -np.inf)
+    loss_sums = np.zeros((b, n))
+    counts = np.zeros((b, joint), dtype=np.int64)
+    bi = np.arange(b)[:, None]
+    ni = np.arange(n)[None, :]
+    for _ in range(rounds):
+        lw = log_w + neg_inf
+        lw -= lw.max(axis=2, keepdims=True)
+        w = np.exp(lw)
+        p = w / w.sum(axis=2, keepdims=True)
+        c = np.cumsum(p, axis=2)
+        c /= c[:, :, -1:]
+        u = rng.random((b, n, 1))
+        chosen = (u >= c).sum(axis=2)
+        p_sel = p[bi, ni, chosen]
+        flat = chosen @ strides
+        losses = flat_losses[np.arange(b), flat]          # (B, N)
+        loss_sums += losses
+        np.add.at(counts, (np.arange(b), flat), 1)
+        log_w[bi, ni, chosen] -= eta * losses / (p_sel + gamma)
+
+    lw = log_w + neg_inf
+    lw -= lw.max(axis=2, keepdims=True)
+    w = np.exp(lw)
+    policies = w / w.sum(axis=2, keepdims=True)
+    return log_w, policies, 1.0 - loss_sums / rounds, counts

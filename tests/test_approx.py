@@ -14,7 +14,7 @@ from equilearn.approx.checkpoint import (CheckpointMeta, load_checkpoint,
                                          save_model)
 from equilearn.approx.codec import (SupportCodec, scalar_to_support,
                                     support_to_scalar)
-from equilearn.approx.mlp import MlpModel, train_epochs
+from equilearn.approx.mlp import MlpModel
 from equilearn.approx.models import (ComposedModel, PolicyModel, QValueModel,
                                      ValueModel, encode_joint, joint_actions)
 from equilearn.approx.tabular import TabularQ, fit_tabular
@@ -158,15 +158,17 @@ def test_composed_model_gradient_check():
 
 def test_training_reduces_loss():
     rng = np.random.default_rng(2)
-    model = MlpModel([2, 16, 3], head_kind="support", learning_rate=3e-3,
-                     seed=0)
+    model = PolicyModel(obs_size=2, num_actions=3, trunk_hidden=(16,),
+                        rep_size=8, head_hidden=(16,), dropout_rate=0.0,
+                        l2_coeff=0.0, learning_rate=3e-3, seed=0)
     x = rng.normal(size=(64, 2))
-    codec = SupportCodec(num_bins=3)
-    y = 1.0 / (1.0 + np.exp(-x[:, 0]))
-    targets = scalar_to_support(codec, y)
-    first = train_epochs(model, x, targets, epochs=1, batch_size=16, rng=rng)
-    last = train_epochs(model, x, targets, epochs=30, batch_size=16, rng=rng)
-    assert last < first
+    logits = np.stack([x[:, 0], x[:, 1], -x[:, 0]], axis=1)
+    targets = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    first = model.fit(x, targets, epochs=1, batch_size=16, rng=rng)
+    last = model.fit(x, targets, epochs=30, batch_size=16, rng=rng)
+    # a margin, not just last < first: a model that does not learn also
+    # reads a hair lower after 30 more epochs
+    assert last < 0.8 * first
 
 
 def test_q_value_model_fits_simple_function():

@@ -4,15 +4,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equilearn.bandit import default_schedule
 from equilearn.cce import (StageGame, empirical_to_distribution, ma_exp_ix,
                            ma_exp_ix_batch, normalize_losses, prune_dominated,
                            realized_regret, verify_cce)
 from equilearn.games.matrix import matching_pennies, prisoners_dilemma
 
-from _oracles import scalar_exp_ix
+from _oracles import dense_batch_exp_ix, scalar_exp_ix
 
 
 def _loss_tensor_from_payoffs(payoffs: np.ndarray) -> np.ndarray:
@@ -228,6 +229,56 @@ def test_ma_exp_ix_matches_scalar_reference(seed):
     np.testing.assert_array_equal(out.values, values)
     for p, q in zip(out.policies, policies):
         np.testing.assert_array_equal(p, q)
+
+
+def _batch_masks(g, counts, batch, forced_share):
+    """Random (B, N, A_max) masks; each game is forced (one playable arm
+    per player) with probability ``forced_share``, and otherwise leaves
+    some player two or more arms."""
+    masks = np.zeros((batch, len(counts), max(counts)), dtype=bool)
+    wide = [i for i, a in enumerate(counts) if a > 1]
+    for b in range(batch):
+        live = bool(wide) and g.random() >= forced_share
+        for i, a in enumerate(counts):
+            m = np.zeros(a, dtype=bool)
+            m[g.integers(a)] = True
+            if live:
+                m |= g.random(a) < 0.5
+            masks[b, i, :a] = m
+        if live and masks[b].sum(axis=1).max() < 2:
+            i = g.choice(wide)
+            masks[b, i, :counts[i]] = True
+    return masks
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 3),
+       batch=st.sampled_from([1, 2, 7, 19]),
+       forced_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       rounds=st.integers(1, 150))
+@example(seed=1, n=2, batch=19, forced_share=1.0, rounds=60)
+@example(seed=2, n=3, batch=7, forced_share=0.0, rounds=60)
+@example(seed=3, n=2, batch=1, forced_share=0.5, rounds=60)
+def test_batch_solver_matches_dense_reference(seed, n, batch, forced_share,
+                                              rounds):
+    """Batches mixing forced and live games, all forced, none forced and
+    B=1: the solver, which skips sampling on forced games, is byte-equal
+    to the reference that samples every game every round, and leaves the
+    generator at the same position."""
+    g = np.random.default_rng(seed)
+    counts = tuple(int(a) for a in g.integers(1, 5, size=n))
+    masks = _batch_masks(g, counts, batch, forced_share)
+    tensors = g.random((batch, *counts, n))
+    params = default_schedule(max(2, max(counts)), rounds)
+    rng = np.random.default_rng(seed)
+    out = ma_exp_ix_batch(tensors, rounds, params, masks, rng)
+    ref_rng = np.random.default_rng(seed)
+    ref = dense_batch_exp_ix(tensors, masks, rounds, params, ref_rng)
+    for got, want in zip((out.log_weights, out.policies, out.values,
+                          out.joint_counts), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
 
 
 @settings(deadline=None, max_examples=20)
