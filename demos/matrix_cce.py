@@ -8,32 +8,32 @@ little mass onto the dominated cooperate action.
 
 import numpy as np
 
-from equilearn.cce import (StageGame, empirical_to_distribution, ma_exp_ix,
-                           normalize_losses, prune_dominated, verify_cce)
+from equilearn.cce import (ma_exp_ix_batch, normalize_losses,
+                           prune_dominated, verify_cce)
 from equilearn.games import game_from_id
 
 
-def stage_from_matrix(game_id):
+def losses_from_matrix(game_id):
+    """The game's loss tensor as a batch of one stage game."""
     game = game_from_id(game_id)
     counts = game.spec.action_counts
     start = game.start_states()[0][0]
     rewards = np.stack([game.terminal_returns(game.step(start, j).next_state)
                         for j in np.ndindex(*counts)])
     tensor = normalize_losses(rewards).reshape(counts + (game.num_players,))
-    return StageGame(game.num_players, counts, loss_tensor=tensor)
+    return tensor[None]
 
 
-def show(game_id, rounds=50_000, mask=None, label=""):
-    stage = stage_from_matrix(game_id)
-    out = ma_exp_ix(stage, rounds, mask=mask, rng=np.random.default_rng(0))
-    dist = empirical_to_distribution(out)
-    eps = verify_cce(dist, stage)
-    dense = np.zeros(stage.action_counts)
-    for joint, prob in dist.items():
-        dense[joint] = prob
+def show(game_id, rounds=50_000, masks=None, label=""):
+    losses = losses_from_matrix(game_id)
+    counts = losses.shape[1:-1]
+    out = ma_exp_ix_batch(losses, rounds, masks=masks,
+                          rng=np.random.default_rng(0))
+    dist = out.joint_counts.reshape(losses.shape[:-1]) / out.rounds
+    eps = verify_cce(losses, dist)[0]
     print(f"{game_id}{label}  ({rounds} rounds)")
-    for p in range(stage.num_players):
-        marginal = dense.sum(axis=1 - p)
+    for p in range(len(counts)):
+        marginal = dist[0].sum(axis=1 - p)
         joined = ", ".join(f"{x:.3f}" for x in marginal)
         print(f"  player {p} empirical marginal: [{joined}]")
     print(f"  epsilon of empirical joint play: {eps:.4f}\n")
@@ -43,11 +43,10 @@ def main():
     show("matrix:mp")
     show("matrix:rps")
     show("matrix:pd")
-    stage = stage_from_matrix("matrix:pd")
-    masks = prune_dominated(stage)
+    masks = prune_dominated(losses_from_matrix("matrix:pd"))
     print("prisoner's dilemma dominance masks:",
-          [m.tolist() for m in masks])
-    show("matrix:pd", rounds=2_000, mask=masks, label=" [pruned]")
+          [m.tolist() for m in masks[0]])
+    show("matrix:pd", rounds=2_000, masks=masks, label=" [pruned]")
 
 
 if __name__ == "__main__":

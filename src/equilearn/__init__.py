@@ -8,8 +8,8 @@ from . import approx, baseline, cce, config, data, games, harness, persist, \
     trainer
 from .bandit import IxParams, default_schedule, ix_update, \
     policy_from_weights, run_exp_ix
-from .cce import (CceOutcome, StageGame, ma_exp_ix, ma_exp_ix_batch,
-                  normalize_losses, prune_dominated, verify_cce)
+from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
+                  verify_cce)
 from .config import Config, ConfigError, load_config
 from .games import Game, GameState, game_from_id
 from .trainer import TrainConfig, TrainedAgent, train
@@ -21,8 +21,8 @@ __all__ = [
     "persist", "trainer",
     "IxParams", "default_schedule", "ix_update", "policy_from_weights",
     "run_exp_ix",
-    "StageGame", "CceOutcome", "ma_exp_ix", "ma_exp_ix_batch",
-    "normalize_losses", "prune_dominated", "verify_cce",
+    "ma_exp_ix_batch", "normalize_losses", "prune_dominated",
+    "verify_cce",
     "Config", "ConfigError", "load_config",
     "Game", "GameState", "game_from_id",
     "TrainConfig", "TrainedAgent", "train",

@@ -2,11 +2,14 @@
 
 One stage game lives at a single state: its per-player losses come
 either from terminal rewards (normalized into [0, 1]) or from a value
-model one layer deeper. All N players run EXP-IX simultaneously on the
-shared dense loss tensor, a batch of same-shaped stage games at a time;
-the empirical distribution of sampled joint actions approximates a
-coarse correlated equilibrium, which the brute-force verifier checks by
-exhaustive enumeration of legal deviations.
+model one layer deeper. Every function here takes a batch of
+same-shaped stage games: dense loss tensors of shape
+(B, A_1, ..., A_N, N) and boolean masks of shape (B, N, A_max), True =
+playable, with the arms past a player's action count False. A single
+game is a batch of one. All N players run EXP-IX simultaneously on the
+shared loss tensor; the empirical distribution of sampled joint actions
+approximates a coarse correlated equilibrium, which the verifier checks
+by exhaustive enumeration of legal deviations.
 """
 
 from __future__ import annotations
@@ -15,69 +18,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import IxParams, WeightRow, default_schedule
+from .bandit import IxParams, default_schedule
 
 LOSS_TOL = 1e-9
 
 
-@dataclass
-class StageGame:
-    """A one-shot game with losses in [0, 1]^N, held as a dense tensor
-    of shape (A_1, ..., A_N, N)."""
-
-    num_players: int
-    action_counts: tuple[int, ...]
-    loss_tensor: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.loss_tensor is None:
-            raise ValueError("need a loss tensor")
-        t = np.asarray(self.loss_tensor, dtype=float)
-        expected = tuple(self.action_counts) + (self.num_players,)
-        if t.shape != expected:
-            raise ValueError(f"loss tensor shape {t.shape}, "
-                             f"expected {expected}")
-        if t.min() < -LOSS_TOL or t.max() > 1 + LOSS_TOL:
-            raise ValueError("loss tensor entries must lie in [0, 1]")
-        self.loss_tensor = np.clip(t, 0.0, 1.0)
+def _check_losses(loss_tensors) -> np.ndarray:
+    """Loss tensors as floats clipped to [0, 1]; their shape must be
+    (B, A_1, ..., A_N, N) and their entries lie in [0, 1]."""
+    t = np.asarray(loss_tensors, dtype=float)
+    if t.ndim < 3 or t.ndim != t.shape[-1] + 2:
+        raise ValueError(f"loss tensors of shape {t.shape}; expected "
+                         f"(B, A_1, ..., A_N, N)")
+    if t.min() < -LOSS_TOL or t.max() > 1 + LOSS_TOL:
+        raise ValueError("loss tensor entries must lie in [0, 1]")
+    return np.clip(t, 0.0, 1.0)
 
 
-def full_mask(action_counts) -> list[np.ndarray]:
-    return [np.ones(a, dtype=bool) for a in action_counts]
+def _check_masks(masks, t: np.ndarray) -> np.ndarray:
+    """Masks for loss tensors ``t`` as a (B, N, A_max) bool array; None
+    allows every arm. Each player must keep at least one arm."""
+    counts = t.shape[1:-1]
+    arms = np.arange(max(counts)) < np.array(counts)[:, None]    # (N, A)
+    if masks is None:
+        return np.broadcast_to(arms, (t.shape[0], *arms.shape)).copy()
+    masks = np.asarray(masks, dtype=bool)
+    if masks.shape != (t.shape[0], *arms.shape) or (masks & ~arms).any():
+        raise ValueError(f"masks of shape {masks.shape} do not fit loss "
+                         f"tensors of shape {t.shape}")
+    if not masks.any(axis=2).all():
+        raise ValueError("mask leaves a player with no playable action")
+    return masks
 
 
-def check_mask(mask, action_counts):
-    mask = [np.asarray(m, dtype=bool) for m in mask]
-    if len(mask) != len(action_counts):
-        raise ValueError("mask needs one row per player")
-    for m, a in zip(mask, action_counts):
-        if len(m) != a:
-            raise ValueError("mask row length mismatch")
-        if not m.any():
-            raise ValueError("mask leaves a player with no playable action")
-    return mask
-
-
-def stack_masks(rows, action_counts) -> np.ndarray:
-    """Per-game lists of per-player masks as one (B, N, A_max) array;
-    arms past a player's action count are False."""
-    out = np.zeros((len(rows), len(action_counts), max(action_counts)),
-                   dtype=bool)
-    for b, row in enumerate(rows):
-        for i, m in enumerate(row):
-            out[b, i, :action_counts[i]] = m
-    return out
-
-
-@dataclass
-class CceOutcome:
-    """Result of a multi-agent EXP-IX run at one state."""
-
-    weights: list[WeightRow]
-    policies: list[np.ndarray]
-    values: np.ndarray                      # per player, 1 - average loss
-    empirical_joint: dict[tuple[int, ...], int]
-    rounds: int
+def _player_losses(t: np.ndarray, i: int) -> np.ndarray:
+    """(B, A_i, J_-i) losses of player i, own arm first."""
+    li = np.moveaxis(t[..., i], 1 + i, 1)
+    return li.reshape(t.shape[0], li.shape[1], -1)
 
 
 def normalize_losses(rewards: np.ndarray) -> np.ndarray:
@@ -101,28 +78,12 @@ def normalize_losses(rewards: np.ndarray) -> np.ndarray:
 class BatchCceOutcome:
     """Stage-solver output for a batch of same-shaped stage games."""
 
-    action_counts: tuple[int, ...]
     log_weights: np.ndarray     # (B, N, A_max)
     policies: np.ndarray        # (B, N, A_max), masked arms exactly 0
     values: np.ndarray          # (B, N)
     joint_counts: np.ndarray    # (B, prod(A)) flat joint-action visit counts
     masks: np.ndarray           # (B, N, A_max) bool
     rounds: int
-
-    def outcome(self, b: int) -> CceOutcome:
-        counts = self.action_counts
-        weights = [WeightRow(self.log_weights[b, i, :a].copy())
-                   for i, a in enumerate(counts)]
-        policies = [self.policies[b, i, :a].copy()
-                    for i, a in enumerate(counts)]
-        joint = {}
-        for flat, c in enumerate(self.joint_counts[b]):
-            if c:
-                joint[tuple(int(x) for x in
-                            np.unravel_index(flat, counts))] = int(c)
-        return CceOutcome(weights=weights, policies=policies,
-                          values=self.values[b].copy(),
-                          empirical_joint=joint, rounds=self.rounds)
 
 
 def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
@@ -144,25 +105,14 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
         raise ValueError("need at least 1 round")
     if rng is None:
         rng = np.random.default_rng()
-    t = np.asarray(loss_tensors, dtype=float)
-    if t.min() < -LOSS_TOL or t.max() > 1 + LOSS_TOL:
-        raise ValueError("batch loss tensors must lie in [0, 1]")
-    t = np.clip(t, 0.0, 1.0)
+    t = _check_losses(loss_tensors)
+    masks = _check_masks(masks, t)
     b = t.shape[0]
     n = t.shape[-1]
     action_counts = t.shape[1:-1]
     a_max = max(action_counts)
     joint = int(np.prod(action_counts))
     flat_losses = t.reshape(b, joint, n)
-
-    if masks is None:
-        masks = np.zeros((b, n, a_max), dtype=bool)
-        for i, a in enumerate(action_counts):
-            masks[:, i, :a] = True
-    else:
-        masks = np.asarray(masks, dtype=bool)
-        if not masks.any(axis=2).all():
-            raise ValueError("mask leaves a player with no playable action")
     if params is None:
         params = default_schedule(max(2, a_max), rounds)
     eta, gamma = params.eta, params.gamma_ix
@@ -234,117 +184,83 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
     w = np.exp(lw)
     policies = w / w.sum(axis=2, keepdims=True)
     values = 1.0 - loss_sums / rounds
-    return BatchCceOutcome(action_counts=tuple(action_counts),
-                           log_weights=log_w, policies=policies,
+    return BatchCceOutcome(log_weights=log_w, policies=policies,
                            values=values, joint_counts=counts, masks=masks,
                            rounds=rounds)
 
 
-def ma_exp_ix(stage: StageGame, rounds: int, params: IxParams | None = None,
-              mask=None, rng: np.random.Generator | None = None) -> CceOutcome:
-    """Simultaneous EXP-IX over one stage game: :func:`ma_exp_ix_batch`
-    on a batch of one."""
-    counts = stage.action_counts
-    masks = (None if mask is None
-             else stack_masks([check_mask(mask, counts)], counts))
-    batch = ma_exp_ix_batch(stage.loss_tensor[None], rounds, params, masks,
-                            rng)
-    return batch.outcome(0)
+def _opponent_profiles(masks: np.ndarray, counts, i: int) -> np.ndarray:
+    """(B, J_-i) flags of opponent profiles whose arms are all playable,
+    in the order of :func:`_player_losses`."""
+    b = masks.shape[0]
+    prof = np.ones((b, 1), dtype=bool)
+    for j, a in enumerate(counts):
+        if j != i:
+            prof = (prof[:, :, None] & masks[:, j, None, :a]).reshape(b, -1)
+    return prof
 
 
-def prune_dominated(stage: StageGame, legal=None) -> list[np.ndarray]:
-    """Iterated strict pure-strategy dominance on a dense stage game.
+def prune_dominated(loss_tensors: np.ndarray, masks=None) -> np.ndarray:
+    """Iterated strict pure-strategy dominance over a batch of stage
+    games.
 
-    An action is masked iff some other playable action has strictly
-    lower loss against every playable joint opponent profile; applied
-    per player and iterated to a fixed point. Returns per-player
-    boolean masks (True = playable).
+    An arm is masked iff some other playable arm has strictly lower loss
+    against every playable joint opponent profile. Each step masks all
+    of one player's dominated arms in every game at once, player after
+    player, until a sweep changes nothing; the fixed point does not
+    depend on the order of elimination (Gilboa, Kalai and Zemel 1990).
+    ``masks`` gives the arms playable at the start (default: every arm).
+    Returns (B, N, A_max) masks, True = playable.
     """
-    counts = stage.action_counts
-    n = stage.num_players
-    mask = (check_mask(legal, counts) if legal is not None
-            else full_mask(counts))
-    mask = [m.copy() for m in mask]
+    t = _check_losses(loss_tensors)
+    masks = _check_masks(masks, t).copy()
+    counts = t.shape[1:-1]
+    # less[i][b, d, x, j]: player i's arm d loses less than arm x
+    # against opponent profile j
+    less = []
+    for i in range(len(counts)):
+        li = _player_losses(t, i)                                # (B, A, J)
+        less.append(li[:, :, None, :] < li[:, None, :, :])
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            li = np.moveaxis(stage.loss_tensor[..., i], i, 0)
-            li = li.reshape(counts[i], -1)
-            opp = np.ones(1, dtype=bool)
-            for j in range(n):
-                if j != i:
-                    opp = np.outer(opp, mask[j]).ravel()
-            live = np.flatnonzero(mask[i])
-            for a in live:
-                if mask[i].sum() == 1:
-                    break
-                for a2 in live:
-                    if a2 == a or not mask[i][a2]:
-                        continue
-                    if np.all(li[a2, opp] < li[a, opp]):
-                        mask[i][a] = False
-                        changed = True
-                        break
-    return mask
+        for i, a in enumerate(counts):
+            prof = _opponent_profiles(masks, counts, i)          # (B, J)
+            beats = (less[i] | ~prof[:, None, None, :]).all(axis=3)
+            dominated = (beats & masks[:, i, :a, None]).any(axis=1)
+            if (dominated & masks[:, i, :a]).any():
+                masks[:, i, :a] &= ~dominated
+                changed = True
+    return masks
 
 
-def _deviation_gains(weights: np.ndarray, stage: StageGame, legal=None
-                     ) -> np.ndarray:
-    """Per player i: the loss incurred under the joint ``weights`` minus
-    that of the best fixed arm a' against the same opponent play, over
-    the arms ``legal`` allows (every arm when it is None)."""
-    counts = stage.action_counts
-    gains = np.empty(stage.num_players)
-    for i in range(stage.num_players):
-        li = stage.loss_tensor[..., i]
-        incurred = float((weights * li).sum())
-        li_dev = np.moveaxis(li, i, 0).reshape(counts[i], -1)
-        dev = li_dev @ weights.sum(axis=i).ravel()
-        if legal is not None:
-            dev = dev[legal[i]]
-        gains[i] = incurred - float(dev.min())
-    return gains
+def verify_cce(loss_tensors: np.ndarray, joint_dists, legal=None
+               ) -> np.ndarray:
+    """Exact epsilon of each game's joint distribution: its best
+    deviation gain.
 
-
-def verify_cce(joint_dist, stage: StageGame, legal=None) -> float:
-    """Exact epsilon of a joint distribution: the best deviation gain.
-
-    ``joint_dist`` is a dense array over joint actions or a mapping
-    from joint-action tuples to probabilities; ``legal`` optionally
-    gives per-player boolean masks of the arms a player may deviate to
-    (default: every arm). Returns max over players i and legal arms a'
-    of [E_sigma c_i(a) - E_sigma c_i(a', a_-i)]^+ by full enumeration.
+    ``joint_dists`` has shape (B, A_1, ..., A_N), each game's entries
+    summing to 1; ``legal`` optionally gives (B, N, A_max) masks of the
+    arms a player may deviate to (default: every arm). Returns, per
+    game, max over players i and legal arms a' of
+    [E_sigma c_i(a) - E_sigma c_i(a', a_-i)]^+ by full enumeration.
     """
-    counts = stage.action_counts
-    if legal is not None:
-        legal = check_mask(legal, counts)
-    if isinstance(joint_dist, dict):
-        dense = np.zeros(counts)
-        for joint, prob in joint_dist.items():
-            dense[tuple(joint)] = prob
-    else:
-        dense = np.asarray(joint_dist, dtype=float)
-        if dense.shape != tuple(counts):
-            raise ValueError("distribution shape mismatch")
-    total = dense.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    return max(0.0, float(_deviation_gains(dense, stage, legal).max()))
-
-
-def empirical_to_distribution(outcome: CceOutcome) -> dict:
-    """Joint visit counts divided by the round count."""
-    if outcome.rounds < 1:
-        raise ValueError("no rounds recorded")
-    return {joint: c / outcome.rounds
-            for joint, c in outcome.empirical_joint.items()}
-
-
-def realized_regret(outcome: CceOutcome, stage: StageGame, player: int
-                    ) -> float:
-    """Player's regret against the empirical opponent play of the run."""
-    counts = np.zeros(stage.action_counts)
-    for joint, c in outcome.empirical_joint.items():
-        counts[tuple(joint)] = c
-    return float(_deviation_gains(counts, stage)[player])
+    t = _check_losses(loss_tensors)
+    legal = _check_masks(legal, t)
+    d = np.asarray(joint_dists, dtype=float)
+    if d.shape != t.shape[:-1]:
+        raise ValueError(f"distributions of shape {d.shape}, expected "
+                         f"{t.shape[:-1]}")
+    b = t.shape[0]
+    totals = d.reshape(b, -1).sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"distribution sums to {totals[bad[0]]}, not 1")
+    eps = np.zeros(b)
+    for i, a in enumerate(t.shape[1:-1]):
+        incurred = (d * t[..., i]).reshape(b, -1).sum(axis=1)
+        opp = d.sum(axis=1 + i).reshape(b, -1)                   # (B, J)
+        dev = np.einsum("baj,bj->ba", _player_losses(t, i), opp)
+        dev = np.where(legal[:, i, :a], dev, np.inf)
+        eps = np.maximum(eps, incurred - dev.min(axis=1))
+    return eps

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import baseline, harness, persist, trainer
-from .cce import StageGame, verify_cce
+from .cce import normalize_losses, verify_cce
 from .config import Config, ConfigError, load_config
 from .data import UniformPolicySource, generate_tree
 from .games import game_from_id
@@ -166,9 +166,11 @@ def cmd_tournament(args) -> int:
     return EXIT_OK
 
 
-def _read_distribution(path: str, action_counts):
-    """Lines of ``a_1,...,a_N probability``; must sum to 1."""
-    dist = {}
+def _read_distribution(path: str, action_counts) -> np.ndarray:
+    """Lines of ``a_1,...,a_N probability`` as a dense array over joint
+    actions; repeated joints add up."""
+    dist = np.zeros(action_counts)
+    seen = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -183,8 +185,9 @@ def _read_distribution(path: str, action_counts):
                     not (0 <= a < c) for a, c in zip(joint, action_counts)):
                 raise ValueError(f"{path}:{lineno}: bad joint action "
                                  f"{parts[0]}")
-            dist[joint] = dist.get(joint, 0.0) + float(parts[1])
-    if not dist:
+            dist[joint] += float(parts[1])
+            seen = True
+    if not seen:
         raise ValueError(f"{path}: empty distribution")
     return dist
 
@@ -200,16 +203,14 @@ def _matrix_game(spec: str):
 
 def cmd_verify_cce(args) -> int:
     game = _matrix_game(args.matrix)
-    from .cce import normalize_losses
     counts = game.spec.action_counts
     rewards = np.stack([game.terminal_returns(
         game.step(game.start_states()[0][0], j).next_state)
         for j in np.ndindex(*counts)])
     losses = normalize_losses(rewards).reshape(
         tuple(counts) + (game.num_players,))
-    stage = StageGame(game.num_players, counts, loss_tensor=losses)
     dist = _read_distribution(args.distribution, counts)
-    eps = verify_cce(dist, stage)
+    eps = verify_cce(losses[None], dist[None])[0]
     print(f"epsilon = {eps:.6f}")
     if args.epsilon is not None and eps > args.epsilon:
         return EXIT_FAIL

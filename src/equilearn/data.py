@@ -22,7 +22,6 @@ class TreeNode:
     weights: list | None                 # per-player sampling weights
     visit_count: int = 1
     children: dict = field(default_factory=dict)   # joint action -> TreeNode
-    parent: tuple | None = None          # (parent node, joint action)
 
     @property
     def timestep(self) -> int:
@@ -128,10 +127,8 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
                 continue
             result = game.step(node.state, joint)
             child, created = _node_for(tree, result.next_state, source)
-            if created:
-                child.parent = (node, joint)
-            else:
-                child.visit_count += 1  # merged node; keeps its first parent
+            if not created:
+                child.visit_count += 1  # merged node
             node.children[joint] = child
             break  # a new edge is a leaf: the simulation ends here
     return tree
@@ -301,16 +298,11 @@ def export_replay_tsv(path: str, entries):
 class QRecord:
     state: GameState
     joint: tuple
-    next_state: GameState
     value: np.ndarray              # per-player target for the child
 
 
-@dataclass
-class QDataset:
-    records: list
-
-
-def build_q_dataset(tree: GameTree, h: int, child_values: dict) -> QDataset:
+def build_q_dataset(tree: GameTree, h: int, child_values: dict
+                    ) -> list[QRecord]:
     """One record per (layer-h parent, action, layer-h+1 child) edge.
 
     ``child_values`` maps child state keys to per-player value vectors
@@ -324,7 +316,6 @@ def build_q_dataset(tree: GameTree, h: int, child_values: dict) -> QDataset:
             if key not in child_values:
                 raise KeyError(f"missing value for child state {key}")
             records.append(QRecord(state=node.state, joint=joint,
-                                   next_state=child.state,
                                    value=np.asarray(child_values[key],
                                                     dtype=float)))
-    return QDataset(records=records)
+    return records

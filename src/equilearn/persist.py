@@ -37,11 +37,17 @@ def _save_policies(agent: TrainedAgent, out_dir: str, game_id: str) -> str:
 
 
 def save_trained_agent(agent: TrainedAgent, out_dir: str, game_id: str):
-    """Write every network of an equilibrium-trained agent."""
-    tag = _save_policies(agent, out_dir, game_id)
+    """Write every network of an equilibrium-trained agent. An agent
+    whose layers hold value tables (the tabular backend) has nothing to
+    write for them, so it is refused before any file is written."""
     for h, source in agent.value_models.items():
         if not isinstance(source, MlpValueSource):
-            continue   # tabular backend: no network to persist
+            raise ValueError(f"layer {h} holds a value table from the "
+                             f"tabular backend, which has no checkpoint "
+                             f"format; save an agent trained with "
+                             f"train.value_backend=mlp")
+    tag = _save_policies(agent, out_dir, game_id)
+    for h, source in agent.value_models.items():
         for p, model in source.models.items():
             save_model(os.path.join(out_dir, f"{tag}_{p}_{h}.ccef"),
                        model, game=game_id, player=p, timestep=h)

@@ -22,8 +22,8 @@ from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
                      fit_tabular, joint_actions)
 from .bandit import legal_policy, sample_index
-from .cce import (StageGame, ma_exp_ix_batch, normalize_losses,
-                  prune_dominated, stack_masks, verify_cce)
+from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
+                  verify_cce)
 from .config import Config
 from .data import (GameTree, UniformPolicySource, build_q_dataset,
                    generate_tree, select_tree_by_cv, upsample_values)
@@ -169,14 +169,13 @@ class MlpValueSource:
         return fill_shared(out, self.share_mode)
 
 
-def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
+def fit_layer_values(game: Game, records: list, tc: TrainConfig, h: int,
                      iteration: int, rng: np.random.Generator):
     """Fit the per-layer value backend on edge records.
 
     Returns (value source, mean fit loss); the source is what the layer
     keeps for stage games, tree rollouts and checkpoints.
     """
-    records = dataset.records
     if not records:
         raise ValueError(f"no edge records at layer {h}")
     if tc.value_backend == "tabular":
@@ -216,26 +215,20 @@ def fit_layer_values(game: Game, dataset, tc: TrainConfig, h: int,
 @dataclass
 class LayerResult:
     values: dict                   # state key -> per-player value vector
-    dataset: object                # QDataset the value model was fit on
     source: object                 # the layer's fitted value source
     fit_loss: float
     policy_records: list           # (player, observation, policy) triples
-    mean_epsilon: float            # over the first VERIFY_NODES states
+    mean_epsilon: float            # over every state of the layer
 
 
-# stage solves per layer whose exact epsilon is logged
-VERIFY_NODES = 3
-
-
-def _legal_masks(game: Game, nodes):
-    masks = []
-    for node in nodes:
-        row = []
+def _legal_masks(game: Game, states) -> np.ndarray:
+    """(B, N, A_max) masks of each state's legal actions."""
+    counts = game.spec.action_counts
+    masks = np.zeros((len(states), game.num_players, max(counts)),
+                     dtype=bool)
+    for b, state in enumerate(states):
         for p in range(game.num_players):
-            m = np.zeros(game.spec.action_counts[p], dtype=bool)
-            m[list(game.legal_actions(node.state, p))] = True
-            row.append(m)
-        masks.append(row)
+            masks[b, p, list(game.legal_actions(state, p))] = True
     return masks
 
 
@@ -247,31 +240,27 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     ``child_values`` maps layer h+1 state keys to per-player values in
     [0, 1] (terminal normalized returns when h+1 is the horizon). The
     value model is fit before solving so stage losses are its
-    predictions, as the tabular/mlp backend dictates. All states of the
-    layer are solved in one batch.
+    predictions, as the tabular/mlp backend dictates. The layer's stage
+    games are pruned, solved and verified as one batch.
     """
     nodes = tree.layer_of(h)
     if not nodes:
         raise ValueError(f"empty layer {h}")
-    dataset = build_q_dataset(tree, h, child_values)
-    source, fit_loss = fit_layer_values(game, dataset, tc, h, iteration,
+    records = build_q_dataset(tree, h, child_values)
+    source, fit_loss = fit_layer_values(game, records, tc, h, iteration,
                                         rng)
 
     counts = game.spec.action_counts
     n = game.num_players
     states = [node.state for node in nodes]
-    legal = _legal_masks(game, nodes)
+    legal = _legal_masks(game, states)
     values = source.joint_values(game, states)       # (B, J, N)
     tensors = np.clip(1.0 - values.reshape((len(nodes), *counts, n)),
                       0.0, 1.0)
-    stages = [StageGame(n, counts, loss_tensor=t) for t in tensors]
-    masks = [prune_dominated(stage, legal=row)
-             for stage, row in zip(stages, legal)]
-    batch = ma_exp_ix_batch(tensors, tc.cce_rounds,
-                            masks=stack_masks(masks, counts), rng=rng)
-    eps = [verify_cce(batch.joint_counts[bi].reshape(counts) / batch.rounds,
-                      stages[bi], legal=legal[bi])
-           for bi in range(min(VERIFY_NODES, len(nodes)))]
+    masks = prune_dominated(tensors, legal)
+    batch = ma_exp_ix_batch(tensors, tc.cce_rounds, masks=masks, rng=rng)
+    dists = batch.joint_counts.reshape(tensors.shape[:-1]) / batch.rounds
+    eps = verify_cce(tensors, dists, legal)
 
     values_out = {}
     policy_records = []
@@ -280,9 +269,9 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
         for p in range(n):
             policy_records.append((p, game.observe(state, p),
                                    batch.policies[bi, p, :counts[p]]))
-    return LayerResult(values=values_out, dataset=dataset, source=source,
-                       fit_loss=fit_loss, policy_records=policy_records,
-                       mean_epsilon=float(np.mean(eps)))
+    return LayerResult(values=values_out, source=source, fit_loss=fit_loss,
+                       policy_records=policy_records,
+                       mean_epsilon=float(eps.mean()))
 
 
 class TrainedAgent:

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from equilearn.bandit import default_schedule, sample_index
-from equilearn.cce import StageGame, ma_exp_ix, normalize_losses
+from equilearn.cce import ma_exp_ix_batch, normalize_losses
 
 
 def enumerate_layers(game):
@@ -53,21 +53,21 @@ def backward_cce_values(game, rounds, rng):
             for joint in itertools.product(*(range(a) for a in counts)):
                 child = game.step(state, joint).next_state
                 tensor[joint] = child_values[child.key()]
-            stage = StageGame(game.num_players, counts,
-                              loss_tensor=np.clip(1.0 - tensor, 0.0, 1.0))
-            out = ma_exp_ix(stage, rounds, rng=rng)
-            values[h][key] = out.values
+            losses = np.clip(1.0 - tensor, 0.0, 1.0)
+            out = ma_exp_ix_batch(losses[None], rounds, rng=rng)
+            values[h][key] = out.values[0]
     return values
 
 
-def scalar_exp_ix(stage, rounds, mask, rng):
+def scalar_exp_ix(loss_tensor, rounds, mask, rng):
     """Simultaneous EXP-IX on one stage game, one player and one round
     at a time: the reference the vectorized solver must match exactly.
 
-    Returns (joint-action visit counts, per-player values, per-player
-    masked policies).
+    ``loss_tensor`` has shape (A_1, ..., A_N, N) and ``mask`` holds one
+    boolean row per player. Returns (joint-action visit counts,
+    per-player values, per-player masked policies).
     """
-    counts = stage.action_counts
+    counts = loss_tensor.shape[:-1]
     params = default_schedule(max(2, max(counts)), rounds)
 
     def policy(lw, m):
@@ -75,12 +75,12 @@ def scalar_exp_ix(stage, rounds, mask, rng):
         return w / w.sum()
 
     log_w = [np.zeros(a) for a in counts]
-    loss_sums = np.zeros(stage.num_players)
+    loss_sums = np.zeros(loss_tensor.shape[-1])
     visits = {}
     for _ in range(rounds):
         ps = [policy(lw, m) for lw, m in zip(log_w, mask)]
         joint = tuple(sample_index(p, rng) for p in ps)
-        losses = stage.loss_tensor[joint]
+        losses = loss_tensor[joint]
         loss_sums += losses
         visits[joint] = visits.get(joint, 0) + 1
         for i, a in enumerate(joint):
@@ -139,3 +139,38 @@ def dense_batch_exp_ix(loss_tensors, masks, rounds, params, rng):
     w = np.exp(lw)
     policies = w / w.sum(axis=2, keepdims=True)
     return log_w, policies, 1.0 - loss_sums / rounds, counts
+
+
+def loop_prune_dominated(loss_tensor, legal):
+    """Iterated strict dominance on one stage game by a pair loop over
+    each player's arms, one arm at a time: the reference the whole-array
+    pruning must match mask for mask.
+
+    ``loss_tensor`` has shape (A_1, ..., A_N, N) and ``legal`` holds one
+    boolean row per player. Returns per-player masks.
+    """
+    counts = loss_tensor.shape[:-1]
+    n = loss_tensor.shape[-1]
+    mask = [np.array(m, dtype=bool) for m in legal]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            li = np.moveaxis(loss_tensor[..., i], i, 0)
+            li = li.reshape(counts[i], -1)
+            opp = np.ones(1, dtype=bool)
+            for j in range(n):
+                if j != i:
+                    opp = np.outer(opp, mask[j]).ravel()
+            live = np.flatnonzero(mask[i])
+            for a in live:
+                if mask[i].sum() == 1:
+                    break
+                for a2 in live:
+                    if a2 == a or not mask[i][a2]:
+                        continue
+                    if np.all(li[a2, opp] < li[a, opp]):
+                        mask[i][a] = False
+                        changed = True
+                        break
+    return mask

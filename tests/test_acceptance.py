@@ -20,8 +20,8 @@ from scipy import stats as sps
 from equilearn import harness
 from equilearn.baseline import smcts_train
 from equilearn.bandit import default_schedule, regret, run_exp_ix
-from equilearn.cce import (StageGame, empirical_to_distribution, ma_exp_ix,
-                           normalize_losses, prune_dominated, verify_cce)
+from equilearn.cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
+                           verify_cce)
 from equilearn.config import Config, load_config
 from equilearn.data import UniformPolicySource, generate_tree, replay_sample, \
     ReplayBuffer, ReplayEntry
@@ -84,15 +84,13 @@ def test_criterion_1_exp_ix_regret():
                                             ("matrix:rps", (3, 3))])
 def test_criterion_2_cce_convergence(game_id, counts):
     game = game_from_id(game_id)
-    stage = StageGame(2, counts, loss_tensor=_loss_tensor(game))
-    out = ma_exp_ix(stage, rounds=100_000, rng=np.random.default_rng(0))
-    dist = empirical_to_distribution(out)
-    dense = np.zeros(counts)
-    for joint, prob in dist.items():
-        dense[joint] = prob
+    losses = _loss_tensor(game)[None]
+    out = ma_exp_ix_batch(losses, rounds=100_000,
+                          rng=np.random.default_rng(0))
+    dense = out.joint_counts[0].reshape(counts) / out.rounds
     l1 = [float(np.abs(dense.sum(axis=1 - p) - 1.0 / counts[p]).sum())
           for p in range(2)]
-    eps = verify_cce(dist, stage)
+    eps = verify_cce(losses, dense[None])[0]
     ok = max(l1) <= 0.05 and eps <= 0.05
     line = _report(2, ok, f"{game_id}: marginal L1 {max(l1):.4f} <= 0.05, "
                           f"epsilon {eps:.4f} <= 0.05")
@@ -102,15 +100,14 @@ def test_criterion_2_cce_convergence(game_id, counts):
 # -- criterion 3: unique CCE under dominance -------------------------------
 
 def test_criterion_3_prisoners_dilemma():
-    stage = StageGame(2, (2, 2),
-                      loss_tensor=_loss_tensor(game_from_id("matrix:pd")))
-    masks = prune_dominated(stage)
-    pruned = ma_exp_ix(stage, rounds=2_000, mask=masks,
-                       rng=np.random.default_rng(0))
-    exact_zero = all(p[0] == 0.0 for p in pruned.policies)
-    unpruned = ma_exp_ix(stage, rounds=100_000,
-                         rng=np.random.default_rng(1))
-    residual = max(float(p[0]) for p in unpruned.policies)
+    losses = _loss_tensor(game_from_id("matrix:pd"))[None]
+    masks = prune_dominated(losses)
+    pruned = ma_exp_ix_batch(losses, rounds=2_000, masks=masks,
+                             rng=np.random.default_rng(0))
+    exact_zero = all(p[0] == 0.0 for p in pruned.policies[0])
+    unpruned = ma_exp_ix_batch(losses, rounds=100_000,
+                               rng=np.random.default_rng(1))
+    residual = max(float(p[0]) for p in unpruned.policies[0])
     ok = exact_zero and residual <= 0.05
     line = _report(3, ok, f"pruned cooperate mass exactly 0: {exact_zero}; "
                           f"unpruned cooperate mass {residual:.4f} <= 0.05")

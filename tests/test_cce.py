@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilearn.bandit import default_schedule
-from equilearn.cce import (StageGame, empirical_to_distribution, ma_exp_ix,
-                           ma_exp_ix_batch, normalize_losses, prune_dominated,
-                           realized_regret, verify_cce)
+from equilearn.cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
+                           verify_cce)
 from equilearn.games.matrix import matching_pennies, prisoners_dilemma
 
-from _oracles import dense_batch_exp_ix, scalar_exp_ix
+from _oracles import dense_batch_exp_ix, loop_prune_dominated, scalar_exp_ix
 
 
 def _loss_tensor_from_payoffs(payoffs: np.ndarray) -> np.ndarray:
@@ -26,6 +25,20 @@ def _loss_tensor_from_payoffs(payoffs: np.ndarray) -> np.ndarray:
 
 PD_LOSSES = _loss_tensor_from_payoffs(prisoners_dilemma().payoffs)
 MP_LOSSES = _loss_tensor_from_payoffs(matching_pennies().payoffs)
+
+
+def _dist(counts, probs) -> np.ndarray:
+    """A batch of one dense joint distribution from {joint: prob}."""
+    dense = np.zeros(counts)
+    for joint, prob in probs.items():
+        dense[joint] = prob
+    return dense[None]
+
+
+def _empirical(out, tensors) -> np.ndarray:
+    """(B, A_1, ..., A_N) joint visit frequencies of a solve of the
+    stage games ``tensors``."""
+    return out.joint_counts.reshape(tensors.shape[:-1]) / out.rounds
 
 
 def test_normalize_losses_maps_best_to_zero():
@@ -48,12 +61,35 @@ def test_normalize_losses_in_unit_interval(rewards):
 
 
 def test_stage_game_validation():
+    # a missing tensor, losses outside [0, 1], and shapes that do not fit
+    # are refused by every stage-game entry point
+    ok = np.zeros((1, 2, 2, 2))
+    dist = np.full((1, 2, 2), 0.25)
+    entry_points = [
+        prune_dominated,
+        lambda t, m: ma_exp_ix_batch(t, 10, masks=m,
+                                     rng=np.random.default_rng(0)),
+        lambda t, m: verify_cce(t, dist, m),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError):
+            call(None, None)
+        with pytest.raises(ValueError):
+            call(np.full((1, 2, 2, 2), 1.5), None)
+        with pytest.raises(ValueError):
+            call(np.zeros((1, 2, 2, 3)), None)    # 3 players, 2 action axes
+        with pytest.raises(ValueError):
+            call(ok, np.ones((1, 3, 2), dtype=bool))      # 3 players' masks
+        with pytest.raises(ValueError):
+            call(ok, np.ones((1, 2, 3), dtype=bool))      # 3 arms
+        with pytest.raises(ValueError, match="no playable action"):
+            call(ok, np.array([[[True, True], [False, False]]]))
     with pytest.raises(ValueError):
-        StageGame(2, (2, 2))
+        verify_cce(np.zeros((1, 3, 2, 2)), dist)          # a 3x2 game
+    # a player-0 arm past player 0's two arms is not a playable arm
+    ragged = np.zeros((1, 2, 3, 2))
     with pytest.raises(ValueError):
-        StageGame(2, (2, 2), loss_tensor=np.full((2, 2, 2), 1.5))
-    with pytest.raises(ValueError):
-        StageGame(2, (2, 2), loss_tensor=np.zeros((3, 2, 2)))
+        prune_dominated(ragged, np.ones((1, 2, 3), dtype=bool))
 
 
 def test_verify_cce_frozen_oracle():
@@ -61,15 +97,13 @@ def test_verify_cce_frozen_oracle():
     # player 0 are [[0.4, 1.0], [0.0, 0.8]]: incurred cost 0.55, while
     # always defecting against the uniform opponent marginal costs 0.4,
     # so the best deviation gains 0.15 (symmetric for player 1).
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    uniform = np.full((2, 2), 0.25)
-    assert verify_cce(uniform, stage) == pytest.approx(0.15)
+    uniform = np.full((1, 2, 2), 0.25)
+    assert verify_cce(PD_LOSSES[None], uniform) == pytest.approx([0.15])
 
 
 def test_verify_cce_zero_for_pure_equilibrium():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    dist = {(1, 1): 1.0}
-    assert verify_cce(dist, stage) == pytest.approx(0.0)
+    dist = _dist((2, 2), {(1, 1): 1.0})
+    assert verify_cce(PD_LOSSES[None], dist) == pytest.approx([0.0])
 
 
 def test_verify_cce_ignores_illegal_deviations():
@@ -77,91 +111,121 @@ def test_verify_cce_ignores_illegal_deviations():
     # (0.6 + 0.2) / 2 = 0.4 and would incur 0 on arm 1, but arm 1 is
     # illegal; player 1 incurs (0.3 + 0.7) / 2 = 0.5 and gains 0.2 by
     # always playing arm 0. Over legal arms epsilon is 0.2, over all 0.4.
-    losses = np.empty((2, 2, 2))
-    losses[..., 0] = [[0.6, 0.2], [0.0, 0.0]]
-    losses[..., 1] = [[0.3, 0.7], [0.5, 0.5]]
-    stage = StageGame(2, (2, 2), loss_tensor=losses)
-    dist = {(0, 0): 0.5, (0, 1): 0.5}
-    legal = [np.array([True, False]), np.array([True, True])]
-    assert verify_cce(dist, stage) == pytest.approx(0.4)
-    assert verify_cce(dist, stage, legal=legal) == pytest.approx(0.2)
+    losses = np.empty((1, 2, 2, 2))
+    losses[0, ..., 0] = [[0.6, 0.2], [0.0, 0.0]]
+    losses[0, ..., 1] = [[0.3, 0.7], [0.5, 0.5]]
+    dist = _dist((2, 2), {(0, 0): 0.5, (0, 1): 0.5})
+    legal = np.array([[[True, False], [True, True]]])
+    assert verify_cce(losses, dist) == pytest.approx([0.4])
+    assert verify_cce(losses, dist, legal) == pytest.approx([0.2])
 
 
 def test_verify_cce_rejects_unnormalized():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
     with pytest.raises(ValueError):
-        verify_cce({(0, 0): 0.5}, stage)
+        verify_cce(PD_LOSSES[None], _dist((2, 2), {(0, 0): 0.5}))
 
 
 def test_prune_dominated_prisoners_dilemma():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    masks = prune_dominated(stage)
-    for m in masks:
+    masks = prune_dominated(PD_LOSSES[None])
+    assert masks.shape == (1, 2, 2)
+    for m in masks[0]:
         np.testing.assert_array_equal(m, [False, True])
 
 
+# Three-stage chain: player 1's arm 2 is dominated by arm 1; with it
+# gone player 0's arm 1 is dominated; with that gone player 1's arm 1
+# is dominated. Only (0, 0) survives.
+CHAIN_LOSSES = np.empty((2, 3, 2))
+CHAIN_LOSSES[0, 0] = (0.3, 0.1)
+CHAIN_LOSSES[0, 1] = (0.3, 0.2)
+CHAIN_LOSSES[0, 2] = (0.9, 0.95)
+CHAIN_LOSSES[1, 0] = (0.5, 0.9)
+CHAIN_LOSSES[1, 1] = (0.5, 0.2)
+CHAIN_LOSSES[1, 2] = (0.1, 0.95)
+
+
 def test_prune_dominated_iterates():
-    # Three-stage chain: player 1's arm 2 is dominated by arm 1; with it
-    # gone player 0's arm 1 is dominated; with that gone player 1's arm 1
-    # is dominated. Only (0, 0) survives.
-    losses = np.empty((2, 3, 2))
-    losses[0, 0] = (0.3, 0.1)
-    losses[0, 1] = (0.3, 0.2)
-    losses[0, 2] = (0.9, 0.95)
-    losses[1, 0] = (0.5, 0.9)
-    losses[1, 1] = (0.5, 0.2)
-    losses[1, 2] = (0.1, 0.95)
-    stage = StageGame(2, (2, 3), loss_tensor=losses)
-    masks = prune_dominated(stage)
-    np.testing.assert_array_equal(masks[0], [True, False])
-    np.testing.assert_array_equal(masks[1], [True, False, False])
+    masks = prune_dominated(CHAIN_LOSSES[None])
+    np.testing.assert_array_equal(masks[0, 0], [True, False, False])
+    np.testing.assert_array_equal(masks[0, 1], [True, False, False])
 
 
 def test_prune_respects_initial_legal_mask():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    legal = [np.array([True, False]), np.array([True, True])]
-    masks = prune_dominated(stage, legal=legal)
+    legal = np.array([[[True, False], [True, True]]])
+    masks = prune_dominated(PD_LOSSES[None], legal)
     # player 0 is pinned to cooperate; player 1 still prunes to defect
-    np.testing.assert_array_equal(masks[0], [True, False])
-    np.testing.assert_array_equal(masks[1], [False, True])
+    np.testing.assert_array_equal(masks[0, 0], [True, False])
+    np.testing.assert_array_equal(masks[0, 1], [False, True])
+    np.testing.assert_array_equal(legal, [[[True, False], [True, True]]])
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 3),
+       batch=st.sampled_from([1, 2, 7, 19]),
+       levels=st.sampled_from([2, 3, 5, 1000]))
+@example(seed=-1, n=2, batch=1, levels=1000)
+def test_prune_dominated_matches_pair_loop(seed, n, batch, levels):
+    """Whole-batch pruning gives the masks of the per-game pair loop on
+    random 2-3 player games with 1-5 arms, random legal masks and
+    losses quantized so that ties occur; seed -1 is the iterated chain
+    above."""
+    if seed < 0:
+        tensors = CHAIN_LOSSES[None]
+        legal = np.array([[[True, True, False], [True, True, True]]])
+    else:
+        g = np.random.default_rng(seed)
+        counts = tuple(int(a) for a in g.integers(1, 6, size=n))
+        tensors = g.integers(0, levels, (batch, *counts, n)) / (levels - 1)
+        legal = np.zeros((batch, n, max(counts)), dtype=bool)
+        for b in range(batch):
+            for i, a in enumerate(counts):
+                legal[b, i, :a] = g.random(a) < 0.7
+                legal[b, i, g.integers(a)] = True
+    counts = tensors.shape[1:-1]
+    masks = prune_dominated(tensors, legal)
+    for b in range(tensors.shape[0]):
+        rows = [legal[b, i, :a] for i, a in enumerate(counts)]
+        want = loop_prune_dominated(tensors[b], rows)
+        for i, a in enumerate(counts):
+            np.testing.assert_array_equal(masks[b, i, :a], want[i])
+            assert not masks[b, i, a:].any()
 
 
 def test_ma_exp_ix_basic_contract():
-    stage = StageGame(2, (2, 2), loss_tensor=MP_LOSSES)
     rng = np.random.default_rng(0)
-    out = ma_exp_ix(stage, rounds=500, rng=rng)
+    out = ma_exp_ix_batch(MP_LOSSES[None], rounds=500, rng=rng)
     assert out.rounds == 500
-    assert sum(out.empirical_joint.values()) == 500
-    for p in out.policies:
+    assert out.joint_counts.sum() == 500
+    for p in out.policies[0]:
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p >= 0.0)
     assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
-    dist = empirical_to_distribution(out)
-    assert sum(dist.values()) == pytest.approx(1.0)
+    assert _empirical(out, MP_LOSSES[None]).sum() == pytest.approx(1.0)
 
 
 def test_ma_exp_ix_mask_is_respected():
-    stage = StageGame(2, (2, 2), loss_tensor=MP_LOSSES)
-    mask = [np.array([True, False]), np.array([True, True])]
-    out = ma_exp_ix(stage, rounds=300, mask=mask,
-                    rng=np.random.default_rng(1))
-    assert out.policies[0][1] == 0.0
-    assert all(j[0] == 0 for j in out.empirical_joint)
+    masks = np.array([[[True, False], [True, True]]])
+    out = ma_exp_ix_batch(MP_LOSSES[None], rounds=300, masks=masks,
+                          rng=np.random.default_rng(1))
+    assert out.policies[0, 0, 1] == 0.0
+    assert _empirical(out, MP_LOSSES[None])[0, 1].sum() == 0.0
 
 
 def test_ma_exp_ix_finds_dominant_action():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    out = ma_exp_ix(stage, rounds=5000, rng=np.random.default_rng(2))
-    for p in out.policies:
+    out = ma_exp_ix_batch(PD_LOSSES[None], rounds=5000,
+                          rng=np.random.default_rng(2))
+    for p in out.policies[0]:
         assert p[1] > 0.9
 
 
 def test_realized_regret_is_small_on_dominance_solvable_game():
-    stage = StageGame(2, (2, 2), loss_tensor=PD_LOSSES)
-    out = ma_exp_ix(stage, rounds=5000, rng=np.random.default_rng(3))
-    for player in range(2):
-        # sublinear regret: well under the worst case of one per round
-        assert realized_regret(out, stage, player) < 0.05 * out.rounds
+    out = ma_exp_ix_batch(PD_LOSSES[None], rounds=5000,
+                          rng=np.random.default_rng(3))
+    # sublinear regret: each player's realized regret is well under the
+    # worst case of one per round, so the empirical epsilon (their
+    # largest regret per round) is under 0.05
+    assert verify_cce(PD_LOSSES[None],
+                      _empirical(out, PD_LOSSES[None]))[0] < 0.05
 
 
 def test_batch_solver_matches_single_contract():
@@ -171,15 +235,10 @@ def test_batch_solver_matches_single_contract():
     assert out.policies.shape == (2, 2, 2)
     assert out.values.shape == (2, 2)
     assert np.all(out.joint_counts.sum(axis=1) == 2000)
-    # per-batch extraction round-trips counts and masked simplex policies
-    for b in range(2):
-        single = out.outcome(b)
-        assert sum(single.empirical_joint.values()) == 2000
-        for p in single.policies:
-            assert p.sum() == pytest.approx(1.0)
+    # every game's policies are simplex rows
+    np.testing.assert_allclose(out.policies.sum(axis=2), 1.0)
     # the PD entry of the batch still finds the dominant action
-    pd = out.outcome(1)
-    assert pd.policies[0][1] > 0.9 and pd.policies[1][1] > 0.9
+    assert out.policies[1, 0, 1] > 0.9 and out.policies[1, 1, 1] > 0.9
 
 
 def test_batch_solver_respects_masks():
@@ -188,8 +247,7 @@ def test_batch_solver_respects_masks():
     out = ma_exp_ix_batch(tensors, rounds=200, masks=masks,
                           rng=np.random.default_rng(5))
     assert out.policies[0, 0, 1] == 0.0
-    dist = out.outcome(0).empirical_joint
-    assert all(j[0] == 0 for j in dist)
+    assert _empirical(out, MP_LOSSES[None])[0, 1].sum() == 0.0
 
 
 def test_batch_solver_zero_draw_skips_masked_first_arm():
@@ -221,14 +279,21 @@ def test_ma_exp_ix_matches_scalar_reference(seed):
     mask = [g.random(a) < 0.7 for a in counts]
     for m in mask:
         m[g.integers(len(m))] = True
-    stage = StageGame(n, counts, loss_tensor=g.random(counts + (n,)))
-    out = ma_exp_ix(stage, 300, mask=mask, rng=np.random.default_rng(seed))
-    visits, values, policies = scalar_exp_ix(stage, 300, mask,
+    tensor = g.random(counts + (n,))
+    masks = np.zeros((1, n, max(counts)), dtype=bool)
+    for i, m in enumerate(mask):
+        masks[0, i, :len(m)] = m
+    out = ma_exp_ix_batch(tensor[None], 300, masks=masks,
+                          rng=np.random.default_rng(seed))
+    visits, values, policies = scalar_exp_ix(tensor, 300, mask,
                                              np.random.default_rng(seed))
-    assert out.empirical_joint == visits
-    np.testing.assert_array_equal(out.values, values)
-    for p, q in zip(out.policies, policies):
-        np.testing.assert_array_equal(p, q)
+    dense = np.zeros(counts, dtype=np.int64)
+    for joint, c in visits.items():
+        dense[joint] = c
+    np.testing.assert_array_equal(out.joint_counts[0], dense.ravel())
+    np.testing.assert_array_equal(out.values[0], values)
+    for i, q in enumerate(policies):
+        np.testing.assert_array_equal(out.policies[0, i, :counts[i]], q)
 
 
 def _batch_masks(g, counts, batch, forced_share):
@@ -285,7 +350,7 @@ def test_batch_solver_matches_dense_reference(seed, n, batch, forced_share,
 @given(seed=st.integers(0, 1000))
 def test_empirical_cce_epsilon_shrinks(seed):
     """A 2000-round empirical joint on matching pennies is a rough CCE."""
-    stage = StageGame(2, (2, 2), loss_tensor=MP_LOSSES)
-    out = ma_exp_ix(stage, rounds=2000, rng=np.random.default_rng(seed))
-    eps = verify_cce(empirical_to_distribution(out), stage)
+    out = ma_exp_ix_batch(MP_LOSSES[None], rounds=2000,
+                          rng=np.random.default_rng(seed))
+    eps = verify_cce(MP_LOSSES[None], _empirical(out, MP_LOSSES[None]))[0]
     assert eps < 0.25

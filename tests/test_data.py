@@ -183,9 +183,9 @@ def test_build_q_dataset_covers_every_edge():
     game, tree = _full_chain_tree()
     child_values = {n.state.key(): np.array([0.5, 0.5])
                     for n in tree.layer_of(1)}
-    dataset = build_q_dataset(tree, 0, child_values)
-    assert len(dataset.records) == 4
-    joints = {r.joint for r in dataset.records}
+    records = build_q_dataset(tree, 0, child_values)
+    assert len(records) == 4
+    joints = {r.joint for r in records}
     assert joints == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 

@@ -1,5 +1,7 @@
 """Tests for agent checkpoint directories."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from equilearn.games import game_from_id
 from equilearn.persist import (load_policy_agent, load_smcts_agent,
                                sanitize_game_id, save_smcts_agent,
                                save_trained_agent)
-from equilearn.trainer import MlpValueSource, TrainedAgent, train
+from equilearn.approx import fit_tabular
+from equilearn.trainer import (MlpValueSource, TabularValueSource,
+                               TrainedAgent, train)
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -105,3 +109,22 @@ def test_loaders_reject_value_players_against_share_mode(tmp_path, game_id,
     save_smcts_agent(smcts, str(tmp_path / "smcts"), game_id)
     with pytest.raises(ValueError, match="value networks for players"):
         load_smcts_agent(str(tmp_path / "smcts"))
+
+
+def test_save_refuses_tabular_value_sources(tmp_path):
+    """A value table has no checkpoint format, so an agent holding one
+    is refused before any file is written, even when an earlier layer
+    holds networks that could be saved."""
+    game = game_from_id("goofspiel:3")
+    codec = SupportCodec(num_bins=5)
+    q = {0: QValueModel(game.observation_size, game.spec.action_counts,
+                        codec, trunk_hidden=(4,), rep_size=3,
+                        head_hidden=(4,), seed=0)}
+    start = game.start_states()[0][0].key()
+    table = fit_tabular([(start, (0, 0), np.array([1.0, 0.0]))])
+    agent = TrainedAgent(game, _tiny_policies(game),
+                         {0: MlpValueSource(q, "zero_sum"),
+                          1: TabularValueSource(table)})
+    with pytest.raises(ValueError, match="layer 1 .*tabular"):
+        save_trained_agent(agent, str(tmp_path), "goofspiel:3")
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".ccef")]
