@@ -29,6 +29,25 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def infer(weights, biases, x, head_kind) -> np.ndarray:
+    """Inference pass, keeping no training caches, of one network or of a
+    stack of same-shape networks.
+
+    One network: ``weights[i]`` is ``(d_in, d_out)`` and ``x`` is
+    ``(rows, d_in)``. A stack of M networks: ``weights[i]`` is
+    ``(M, d_in, d_out)``, ``biases[i]`` is ``(M, 1, d_out)`` and ``x`` is
+    ``(M, rows, d_in)``; each network's slice gets the same matmul, adds
+    and softmax as that network alone, so its outputs are the same bits.
+    """
+    h = x
+    last = len(weights) - 1
+    for li, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if li < last:
+            h = np.maximum(h, 0.0)
+    return h if head_kind == "linear" else _softmax(h)
+
+
 class MlpModel:
     """ReLU MLP; the final affine layer has no activation of its own
     (softmax heads apply softmax on top of the final logits)."""
@@ -62,17 +81,21 @@ class MlpModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        out, _ = self._forward_cache(np.atleast_2d(x), train_mode, rng)
-        if self.head_kind != "linear":
-            out = _softmax(out)
-        return out
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference outputs (no dropout) for a batch of input rows."""
+        x = np.atleast_2d(x)
+        self._check_width(x)
+        return infer(self.weights, self.biases, x, self.head_kind)
+
+    def _check_width(self, x):
+        if x.shape[-1] != self.layer_dims[0]:
+            raise ValueError(f"input width {x.shape[-1]} != "
+                             f"{self.layer_dims[0]}")
 
     def _forward_cache(self, x, train_mode, rng):
-        if x.shape[1] != self.layer_dims[0]:
-            raise ValueError(f"input width {x.shape[1]} != "
-                             f"{self.layer_dims[0]}")
+        """Training forward: final logits plus the activations and
+        dropout masks that :meth:`_backward` needs."""
+        self._check_width(x)
         acts = [x]
         drop_masks = []
         h = x

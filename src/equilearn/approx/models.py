@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .codec import SupportCodec, scalar_to_support
-from .mlp import MlpModel, TrainingDivergedError
+from .mlp import MlpModel, TrainingDivergedError, infer
 
 
 def _batches(n, batch_size, rng):
@@ -65,20 +65,22 @@ class ComposedModel:
     def head_kind(self):
         return self.head.head_kind
 
+    def _append_extra(self, rep, extra):
+        if not self.extra_dim:
+            return rep
+        if extra is None:
+            raise ValueError("model expects appended features")
+        return np.concatenate([rep, np.atleast_2d(extra)], axis=1)
+
     def _head_input(self, obs, extra, train_mode, rng):
         rep, cache = self.trunk._forward_cache(np.atleast_2d(obs),
                                                train_mode, rng)
-        if self.extra_dim:
-            if extra is None:
-                raise ValueError("model expects appended features")
-            h_in = np.concatenate([rep, np.atleast_2d(extra)], axis=1)
-        else:
-            h_in = rep
-        return h_in, cache
+        return self._append_extra(rep, extra), cache
 
-    def forward(self, obs, extra=None, train_mode=False, rng=None):
-        h_in, _ = self._head_input(obs, extra, train_mode, rng)
-        return self.head.forward(h_in, train_mode=train_mode, rng=rng)
+    def forward(self, obs, extra=None):
+        """Inference outputs (no dropout) for a batch of observations."""
+        rep = self.trunk.forward(obs)
+        return self.head.forward(self._append_extra(rep, extra))
 
     def train_step(self, obs, extra, targets, rng):
         """One minibatch Adam step on both subnetworks; returns the loss."""
@@ -114,6 +116,53 @@ class ComposedModel:
 
     def parameter_arrays(self):
         return self.trunk.params() + self.head.params()
+
+
+def _signature(net: ComposedModel) -> tuple:
+    return (net.head_kind, net.extra_dim,
+            tuple(a.shape for a in net.parameter_arrays()))
+
+
+def _stacked(mlp_nets) -> tuple:
+    weights = [np.stack(ws) for ws in zip(*(m.weights for m in mlp_nets))]
+    biases = [np.stack(bs)[:, None, :]
+              for bs in zip(*(m.biases for m in mlp_nets))]
+    return weights, biases
+
+
+class ModelStack:
+    """Composed models of one shape, evaluated in one inference pass.
+
+    Each subnetwork's parameters are stacked along a leading model axis,
+    and the pass is :func:`infer` on the stacked arrays, so model ``m``'s
+    output is the same bits as ``nets[m].forward`` on its observation.
+    The stack is a copy taken when it is built: a model fitted after
+    that is not seen.
+    """
+
+    def __init__(self, nets):
+        if len({_signature(n) for n in nets}) != 1 or nets[0].extra_dim:
+            raise ValueError("a stack needs models of one shape without "
+                             "appended features")
+        self.head_kind = nets[0].head_kind
+        self.trunk = _stacked([n.trunk for n in nets])
+        self.head = _stacked([n.head for n in nets])
+
+    def forward(self, observations) -> np.ndarray:
+        """Model ``m``'s outputs on ``observations[m]``: (M, 1, d_out)."""
+        x = np.array(observations)[:, None, :]
+        rep = infer(*self.trunk, x, "linear")
+        return infer(*self.head, rep, self.head_kind)
+
+
+def stack_by_shape(nets) -> list:
+    """One ``(indices, ModelStack)`` per distinct network shape among
+    ``nets``, in order of first index."""
+    groups: dict = {}
+    for i, net in enumerate(nets):
+        groups.setdefault(_signature(net), []).append(i)
+    return [(ix, ModelStack([nets[i] for i in ix]))
+            for ix in groups.values()]
 
 
 class QValueModel:

@@ -10,11 +10,12 @@ run a fresh per-move search or play its distilled policy directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import SupportCodec, ValueModel
+from .approx import SupportCodec, ValueModel, stack_by_shape
 from .bandit import legal_policy, sample_index
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
@@ -83,10 +84,9 @@ class SmctsSource:
     def predict(self, game: Game, state: GameState):
         if state.terminal:
             return game.terminal_returns(state), None
-        weights = [self.agent.policy(state, p)
-                   for p in range(game.num_players)]
-        value = self.agent.state_value(state)
-        return value, weights
+        obs = [game.observe(state, p) for p in range(game.num_players)]
+        weights = self.agent.policies(state, obs)
+        return self.agent.observed_value(obs), weights
 
 
 @dataclass
@@ -120,12 +120,27 @@ class SmctsAgent(TrainedAgent):
         self.search_play = search_play
         self._last_search: _LastSearch | None = None
 
+    @functools.cached_property
+    def _value_stacks(self) -> list:
+        players = value_players(self.share_mode, self.game.num_players)
+        models = [self.value_models[p] for p in players]
+        if len({m.codec for m in models}) > 1:
+            raise ValueError("an agent's value networks share one codec")
+        return [([players[i] for i in ix], stack, models[0].codec.centers)
+                for ix, stack in stack_by_shape([m.net for m in models])]
+
     def state_value(self, state: GameState) -> np.ndarray:
-        n = self.game.num_players
-        out = np.full(n, 0.5)
-        for p in value_players(self.share_mode, n):
-            obs = self.game.observe(state, p)
-            out[p] = float(self.value_models[p].predict(obs)[0])
+        return self.observed_value([self.game.observe(state, p)
+                                    for p in range(self.game.num_players)])
+
+    def observed_value(self, obs: list) -> np.ndarray:
+        """Per-player values of the state every player observes as
+        ``obs[p]``, from one stacked pass per value-network shape;
+        players without a network are filled by the share mode."""
+        out = np.full(self.game.num_players, 0.5)
+        for players, stack, centers in self._value_stacks:
+            support = stack.forward([obs[p] for p in players])
+            out[players] = (support @ centers)[:, 0]
         return fill_shared(out, self.share_mode)
 
     def act(self, game: Game, state: GameState, player: int,

@@ -19,7 +19,7 @@ from .harness import write_atomic
 class TreeNode:
     state: GameState
     value: np.ndarray                    # per-player value estimate
-    weights: list | None                 # per-player sampling weights
+    weights: list | None                 # per-player legal policies
     visit_count: int = 1
     children: dict = field(default_factory=dict)   # joint action -> TreeNode
 
@@ -61,28 +61,35 @@ class UniformPolicySource:
 
 
 def _node_for(tree: GameTree, state: GameState, source) -> tuple:
-    """Get or create the node for ``state``; returns (node, created)."""
+    """Get or create the node for ``state``; returns (node, created).
+
+    A new node's weights are the source's, restricted to the legal
+    actions and normalized once, here.
+    """
     layer = tree.layers[state.timestep]
     key = state.key()
     node = layer.get(key)
     if node is not None:
         return node, False
+    game = tree.game
     if state.terminal:
-        value = tree.game.terminal_returns(state)
+        value = game.terminal_returns(state)
         weights = None
     else:
-        value, weights = source.predict(tree.game, state)
+        value, weights = source.predict(game, state)
         value = np.asarray(value, dtype=float)
+        weights = [legal_policy(w, game.legal_actions(state, p))
+                   for p, w in enumerate(weights)]
     node = TreeNode(state=state, value=value, weights=weights)
     layer[key] = node
     return node, True
 
 
 def _sample_action(game, node, player, randomized, rng) -> int:
-    legal = game.legal_actions(node.state, player)
-    if randomized or node.weights is None:
+    if randomized:
+        legal = game.legal_actions(node.state, player)
         return int(legal[rng.integers(len(legal))])
-    return sample_index(legal_policy(node.weights[player], legal), rng)
+    return sample_index(node.weights[player], rng)
 
 
 def generate_tree(game: Game, source, num_sims: int, randomize=None,

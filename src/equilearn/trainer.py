@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
-                     fit_tabular, joint_actions)
+                     fit_tabular, joint_actions, stack_by_shape)
 from .bandit import legal_policy, sample_index
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
@@ -276,7 +276,12 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
 
 class TrainedAgent:
     """Per-player policy networks plus the last iteration's per-layer
-    value sources."""
+    value sources.
+
+    The networks are not fitted after the agent is built: the stacked
+    passes (``policies``, and a search agent's ``observed_value``) read
+    copies of them taken at first use.
+    """
 
     def __init__(self, game: Game, policy_models: list, value_models: dict,
                  name: str = "nncce"):
@@ -291,6 +296,22 @@ class TrainedAgent:
         obs = self.game.observe(state, player)
         return legal_policy(self.policy_models[player].predict(obs)[0],
                             self.game.legal_actions(state, player))
+
+    @functools.cached_property
+    def _policy_stacks(self) -> list:
+        return stack_by_shape([m.net for m in self.policy_models])
+
+    def policies(self, state: GameState, obs: list) -> list:
+        """Every player's ``policy(state, p)``, the same bits, from one
+        stacked pass per policy-network shape; ``obs[p]`` is player
+        ``p``'s observation of ``state``."""
+        rows = [None] * self.game.num_players
+        for players, stack in self._policy_stacks:
+            out = stack.forward([obs[p] for p in players])
+            for i, p in enumerate(players):
+                rows[p] = legal_policy(out[i, 0],
+                                       self.game.legal_actions(state, p))
+        return rows
 
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
@@ -308,8 +329,8 @@ class AgentPolicySource:
     def predict(self, game: Game, state: GameState):
         if state.terminal:
             return game.terminal_returns(state), None
-        weights = [self.agent.policy(state, p)
-                   for p in range(game.num_players)]
+        weights = self.agent.policies(state, [
+            game.observe(state, p) for p in range(game.num_players)])
         value = np.full(game.num_players, 0.5)
         source = self.agent.value_models.get(state.timestep)
         if source is not None:

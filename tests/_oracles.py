@@ -11,6 +11,7 @@ import numpy as np
 
 from equilearn.bandit import default_schedule, sample_index
 from equilearn.cce import ma_exp_ix_batch, normalize_losses
+from equilearn.trainer import fill_shared, value_players
 
 
 def enumerate_layers(game):
@@ -174,3 +175,33 @@ def loop_prune_dominated(loss_tensor, legal):
                         changed = True
                         break
     return mask
+
+
+class PerPlayerSmctsSource:
+    """The search baseline's node predictions one player at a time: a
+    single-row forward per player through each policy and value network.
+    ``predict`` and ``state_value`` are ``SmctsSource.predict`` and
+    ``SmctsAgent.state_value`` as they were before the stacked pass,
+    verbatim but for the receiver; the stacked pass must match them byte
+    for byte.
+    """
+
+    def __init__(self, agent):
+        self.agent = agent
+
+    def predict(self, game, state):
+        if state.terminal:
+            return game.terminal_returns(state), None
+        weights = [self.agent.policy(state, p)
+                   for p in range(game.num_players)]
+        value = self.state_value(state)
+        return value, weights
+
+    def state_value(self, state):
+        agent = self.agent
+        n = agent.game.num_players
+        out = np.full(n, 0.5)
+        for p in value_players(agent.share_mode, n):
+            obs = agent.game.observe(state, p)
+            out[p] = float(agent.value_models[p].predict(obs)[0])
+        return fill_shared(out, agent.share_mode)

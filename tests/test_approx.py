@@ -14,9 +14,10 @@ from equilearn.approx.checkpoint import (CheckpointMeta, load_checkpoint,
                                          save_model)
 from equilearn.approx.codec import (SupportCodec, scalar_to_support,
                                     support_to_scalar)
-from equilearn.approx.mlp import MlpModel
-from equilearn.approx.models import (ComposedModel, PolicyModel, QValueModel,
-                                     ValueModel, encode_joint, joint_actions)
+from equilearn.approx.mlp import MlpModel, _softmax
+from equilearn.approx.models import (ComposedModel, ModelStack, PolicyModel,
+                                     QValueModel, ValueModel, encode_joint,
+                                     joint_actions, stack_by_shape)
 from equilearn.approx.tabular import TabularQ, fit_tabular
 
 
@@ -113,6 +114,33 @@ def test_mlp_gradient_check(head_kind, out_dim):
         targets = raw / raw.sum(axis=1, keepdims=True)
     coords = rng.choice(model.get_flat_params().size, size=100, replace=False)
     assert _central_difference_check(model, x, targets, coords) <= 1e-3
+
+
+@pytest.mark.parametrize("head_kind", ["support", "policy", "linear"])
+def test_inference_pass_matches_training_forward(head_kind):
+    """The inference loop gives the bits of the training forward with
+    dropout off."""
+    x = np.random.default_rng(2).normal(size=(7, 5))
+    model = MlpModel([5, 9, 9, 4], head_kind=head_kind, dropout_rate=0.5,
+                     seed=4)
+    logits, _ = model._forward_cache(x, False, None)
+    want = logits if head_kind == "linear" else _softmax(logits)
+    assert model.forward(x).tobytes() == want.tobytes()
+
+
+def test_model_stack_groups_by_shape_and_keeps_bits():
+    a = ComposedModel([3, 6, 2], [2, 6, 3], "policy", seed=0)
+    b = ComposedModel([3, 6, 2], [2, 6, 5], "policy", seed=2)
+    c = ComposedModel([3, 6, 2], [2, 6, 3], "policy", seed=4)
+    with pytest.raises(ValueError):
+        ModelStack([a, b])
+    groups = stack_by_shape([a, b, c])
+    assert [ix for ix, _ in groups] == [[0, 2], [1]]
+    obs = np.random.default_rng(3).normal(size=(2, 3))
+    out = groups[0][1].forward(list(obs))
+    assert out.shape == (2, 1, 3)
+    for row, net, o in zip(out, (a, c), obs):
+        assert row.tobytes() == net.forward(o).tobytes()
 
 
 def test_composed_model_gradient_check():

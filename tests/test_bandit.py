@@ -14,7 +14,7 @@ from equilearn.bandit import (IxParams, RegretTrace, WeightRow,
                               policy_from_weights, regret, run_exp_ix,
                               sample_index)
 from equilearn.baseline import SmctsAgent
-from equilearn.data import _sample_action
+from equilearn.data import _node_for, _sample_action
 from equilearn.trainer import TrainedAgent
 
 
@@ -151,9 +151,20 @@ DRAW_SITES = {
         game, {}, [_FixedPolicy(row)], "none",
         search_play=False).act(game, None, 0, rng),
     "tree-rollout": lambda game, row, rng: _sample_action(
-        game, SimpleNamespace(state=None, weights=[np.array(row)]), 0,
-        False, rng),
+        game, _rollout_node(game, row), 0, False, rng),
 }
+
+
+def _rollout_node(game, row):
+    """A rollout node built as tree generation builds it, from a source
+    that predicts ``row`` as player 0's weights."""
+    tree = SimpleNamespace(game=game, layers=[{}])
+    state = SimpleNamespace(timestep=0, terminal=False, key=lambda: "s")
+    source = SimpleNamespace(
+        predict=lambda game, state: (np.zeros(1), [np.array(row)]))
+    node, created = _node_for(tree, state, source)
+    assert created
+    return node
 
 
 @pytest.mark.parametrize("site", sorted(DRAW_SITES))

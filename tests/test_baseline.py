@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from _oracles import PerPlayerSmctsSource
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
-from equilearn.baseline import (SmctsAgent, backup_tree_values, smcts_search,
-                                smcts_train, tree_to_replay, visit_policy)
+from equilearn.baseline import (SmctsAgent, SmctsSource, backup_tree_values,
+                                smcts_search, smcts_train, tree_to_replay,
+                                visit_policy)
 from equilearn.config import Config
 from equilearn.data import (GameTree, ReplayBuffer, TreeNode,
                             UniformPolicySource, generate_tree)
+from equilearn.games import game_from_id
 from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
@@ -276,3 +279,49 @@ def test_smcts_search_draws_stay_legal():
         assert policy.sum() == pytest.approx(1.0)
         assert set(np.flatnonzero(policy)) <= set(
             game.legal_actions(root, p))
+
+
+def _two_by_three(tmp_path):
+    path = tmp_path / "two_by_three.txt"
+    path.write_text("2 2 3\n3 0\n0 2\n1 1\n0 3\n2 0\n1 2\n")
+    return game_from_id(f"matrix:{path}")
+
+
+@pytest.mark.parametrize("game_id, share, stacks", [
+    ("pursuit", "none", 1), ("goofspiel:4", "zero_sum", 1),
+    ("two-by-three", "none", 2)])
+def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
+                                                       share, stacks):
+    """One stacked pass per network shape gives the same bits as one
+    single-row forward per player and network, node by node and over
+    whole searches; players whose networks differ in shape (2 and 3
+    actions) form separate stacks."""
+    game = (_two_by_three(tmp_path) if game_id == "two-by-three"
+            else game_from_id(game_id))
+    assert share_mode_for(game) == share
+    agent = _small_agent(game, 3, "stacked", simulations=30)
+    stacked, oracle = SmctsSource(agent), PerPlayerSmctsSource(agent)
+    tree = generate_tree(game, UniformPolicySource(), 200,
+                         rng=np.random.default_rng(0))
+    states = [node.state for layer in tree.layers for node in layer.values()
+              if not node.state.terminal]
+    for state in states:
+        value, weights = stacked.predict(game, state)
+        want_value, want_weights = oracle.predict(game, state)
+        assert value.tobytes() == want_value.tobytes()
+        assert len(weights) == game.num_players
+        for w, want in zip(weights, want_weights):
+            assert w.tobytes() == want.tobytes()
+    assert len(agent._policy_stacks) == stacks
+    assert len(agent._value_stacks) == 1
+
+    rngs = np.random.default_rng(7), np.random.default_rng(7)
+    for i in range(20):
+        state = states[i % len(states)]
+        (value, policies), (want_value, want_policies) = (
+            smcts_search(game, state, source, 30, rng)
+            for source, rng in zip((stacked, oracle), rngs))
+        assert value.tobytes() == want_value.tobytes()
+        for p, want in zip(policies, want_policies):
+            assert p.tobytes() == want.tobytes()
+    assert rngs[0].random() == rngs[1].random()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from equilearn import baseline, trainer
-from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
-    fit_tabular
+from equilearn.approx import ComposedModel, PolicyModel, QValueModel, \
+    SupportCodec, fit_tabular
 from equilearn.cce import verify_cce
 from equilearn.config import Config
 from equilearn.data import GameTree, TreeNode, UniformPolicySource, \
@@ -368,3 +368,34 @@ def test_gated_loop_rolls_back_and_stops_on_patience(monkeypatch, learner):
     # one tree per iteration (one candidate tree for train): the rolled
     # back candidate never becomes the rollout policy
     assert rollout_agents == [None, candidates[0], candidates[0]]
+
+
+@pytest.mark.parametrize("learner", sorted(GATED_LEARNERS))
+def test_agent_networks_are_not_fitted_after_the_agent_is_built(monkeypatch,
+                                                               learner):
+    """An agent's stacked passes read copies of its networks, so no
+    network is fitted once an agent holds it: ``smcts_train`` fits before
+    it builds each candidate, and ``train`` warm-starts from deep copies
+    of the accepted agent's policy networks."""
+    _, fit, settings, _ = GATED_LEARNERS[learner]
+    held = {}     # id -> network, kept alive so no id is reused
+    fitted_held = []
+    build, fit_net = TrainedAgent.__init__, ComposedModel.fit
+
+    def recording_build(self, game, policy_models, value_models, **kwargs):
+        build(self, game, policy_models, value_models, **kwargs)
+        models = list(policy_models)
+        for v in value_models.values():
+            models.extend(getattr(v, "models", {None: v}).values())
+        held.update((id(m.net), m.net) for m in models)
+
+    def recording_fit(self, *args, **kwargs):
+        fitted_held.append(id(self) in held)
+        return fit_net(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrainedAgent, "__init__", recording_build)
+    monkeypatch.setattr(ComposedModel, "fit", recording_fit)
+    fit(Config({**settings, "seed": "3", "train.patience": "4",
+                "train.gate_matches": "4", **FAST_NET}))
+    assert len(held) > 0 and len(fitted_held) > 0
+    assert not any(fitted_held)
