@@ -34,10 +34,11 @@ def infer(weights, biases, x, head_kind) -> np.ndarray:
     stack of same-shape networks.
 
     One network: ``weights[i]`` is ``(d_in, d_out)`` and ``x`` is
-    ``(rows, d_in)``. A stack of M networks: ``weights[i]`` is
-    ``(M, d_in, d_out)``, ``biases[i]`` is ``(M, 1, d_out)`` and ``x`` is
-    ``(M, rows, d_in)``; each network's slice gets the same matmul, adds
-    and softmax as that network alone, so its outputs are the same bits.
+    ``(rows, d_in)``. A stack of M networks (``approx.ModelStack``):
+    ``weights[i]`` is ``(M, 1, d_in, d_out)``, ``biases[i]`` is
+    ``(M, 1, 1, d_out)`` and ``x`` is ``(M, k, 1, d_in)``; each
+    (network, row) slice gets the same matmul, adds and softmax as that
+    network alone on that one row, so its outputs are the same bits.
     """
     h = x
     last = len(weights) - 1

@@ -124,8 +124,10 @@ def _signature(net: ComposedModel) -> tuple:
 
 
 def _stacked(mlp_nets) -> tuple:
-    weights = [np.stack(ws) for ws in zip(*(m.weights for m in mlp_nets))]
-    biases = [np.stack(bs)[:, None, :]
+    """Weights ``(M, 1, d_in, d_out)`` and biases ``(M, 1, 1, d_out)``."""
+    weights = [np.stack(ws)[:, None]
+               for ws in zip(*(m.weights for m in mlp_nets))]
+    biases = [np.stack(bs)[:, None, None, :]
               for bs in zip(*(m.biases for m in mlp_nets))]
     return weights, biases
 
@@ -135,9 +137,9 @@ class ModelStack:
 
     Each subnetwork's parameters are stacked along a leading model axis,
     and the pass is :func:`infer` on the stacked arrays, so model ``m``'s
-    output is the same bits as ``nets[m].forward`` on its observation.
-    The stack is a copy taken when it is built: a model fitted after
-    that is not seen.
+    output on a row is the same bits as ``nets[m].forward`` on that row
+    alone. The stack is a copy taken when it is built: a model fitted
+    after that is not seen.
     """
 
     def __init__(self, nets):
@@ -149,10 +151,16 @@ class ModelStack:
         self.head = _stacked([n.head for n in nets])
 
     def forward(self, observations) -> np.ndarray:
-        """Model ``m``'s outputs on ``observations[m]``: (M, 1, d_out)."""
-        x = np.array(observations)[:, None, :]
+        """Model ``m``'s outputs on each row ``observations[m][i]``:
+        ``(M, k, d_out)``.
+
+        Each row is its own single-row product, ``(M, k, 1, d) @ (M, 1,
+        d, d')``: a ``(M, k, d)`` product would change last bits for
+        ``k >= 2``.
+        """
+        x = np.array(observations)[:, :, None, :]
         rep = infer(*self.trunk, x, "linear")
-        return infer(*self.head, rep, self.head_kind)
+        return infer(*self.head, rep, self.head_kind)[:, :, 0]
 
 
 def stack_by_shape(nets) -> list:

@@ -8,6 +8,7 @@ chosen arm only.
 
 The module also holds the one rule by which every agent, rollout and
 search draws an action from weights (:func:`legal_policy`,
+:func:`cdf_rows` and :func:`draw_rows`, whose one-row case is
 :func:`sample_index`).
 """
 
@@ -78,17 +79,32 @@ def legal_policy(weights, legal) -> np.ndarray:
     return w / total if total > 0.0 else mask / mask.sum()
 
 
+def cdf_rows(weights) -> np.ndarray:
+    """Cumulative sums of nonnegative ``weights`` along the last axis,
+    each row rescaled to end at exactly 1: the form :func:`draw_rows`
+    reads. Trailing zero weights pad a row without changing a draw."""
+    c = np.add.accumulate(weights, axis=-1, dtype=float)
+    c /= c[..., -1:]
+    return c
+
+
+def draw_rows(cdf: np.ndarray, u) -> np.ndarray:
+    """One index per row of ``cdf`` (from :func:`cdf_rows`) for uniform
+    draws ``u`` in [0, 1), shaped ``cdf.shape[:-1] + (1,)`` (a float for
+    a single row): the ``k`` with ``cdf[k-1] <= u < cdf[k]``, which has
+    positive weight, since each row ends at exactly 1.
+
+    Counting the entries at or below ``u`` gives the index that
+    ``searchsorted(side="right")`` gives on a nondecreasing row.
+    """
+    return np.add.reduce(cdf <= u, axis=-1)
+
+
 def sample_index(weights, rng: np.random.Generator) -> int:
     """Index drawn in proportion to nonnegative ``weights`` with one
-    uniform draw; a zero-weight index is never returned.
-
-    The cumulative sum is rescaled to end at exactly 1, so a draw
-    ``u`` in [0, 1) picks the index ``k`` with ``c[k-1] <= u < c[k]``,
-    which has positive weight.
-    """
-    c = np.cumsum(weights, dtype=float)
-    c /= c[-1]
-    return int(np.searchsorted(c, rng.random(), side="right"))
+    uniform draw; a zero-weight index is never returned. It is the
+    one-row case of :func:`draw_rows`."""
+    return int(draw_rows(cdf_rows(weights), rng.random()))
 
 
 def ix_update(row: WeightRow, chosen: int, loss: float, p_chosen: float,

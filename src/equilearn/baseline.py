@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import legal_policy, sample_index
+from .bandit import cdf_rows, draw_rows, legal_policy, sample_index
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
                    generate_tree, replay_sample)
@@ -81,12 +81,13 @@ class SmctsSource:
     def __init__(self, agent: "SmctsAgent"):
         self.agent = agent
 
-    def predict(self, game: Game, state: GameState):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        obs = [game.observe(state, p) for p in range(game.num_players)]
-        weights = self.agent.policies(state, obs)
-        return self.agent.observed_value(obs), weights
+    def predict(self, game: Game, states: list) -> list:
+        """``(value, per-player weights)`` of each non-terminal state,
+        from one stacked policy pass and one stacked value pass."""
+        obs = [[game.observe(s, p) for p in range(game.num_players)]
+               for s in states]
+        return list(zip(self.agent.observed_value(obs),
+                        self.agent.policies(states, obs)))
 
 
 @dataclass
@@ -130,17 +131,20 @@ class SmctsAgent(TrainedAgent):
                 for ix, stack in stack_by_shape([m.net for m in models])]
 
     def state_value(self, state: GameState) -> np.ndarray:
-        return self.observed_value([self.game.observe(state, p)
-                                    for p in range(self.game.num_players)])
+        obs = [self.game.observe(state, p)
+               for p in range(self.game.num_players)]
+        return self.observed_value([obs])[0]
 
     def observed_value(self, obs: list) -> np.ndarray:
-        """Per-player values of the state every player observes as
-        ``obs[p]``, from one stacked pass per value-network shape;
-        players without a network are filled by the share mode."""
-        out = np.full(self.game.num_players, 0.5)
+        """Per-player values ``(k, N)`` of the states that player ``p``
+        observes as ``obs[i][p]``, from one stacked pass per
+        value-network shape; players without a network are filled by the
+        share mode. Each expectation is a single-row product,
+        ``(1, bins) @ centers``, as for one state alone."""
+        out = np.full((len(obs), self.game.num_players), 0.5)
         for players, stack, centers in self._value_stacks:
-            support = stack.forward([obs[p] for p in players])
-            out[players] = (support @ centers)[:, 0]
+            support = stack.forward([[o[p] for o in obs] for p in players])
+            out[:, players] = (support[..., None, :] @ centers)[..., 0].T
         return fill_shared(out, self.share_mode)
 
     def act(self, game: Game, state: GameState, player: int,
@@ -160,8 +164,9 @@ class SmctsAgent(TrainedAgent):
 @dataclass
 class _SearchNode:
     state: GameState
-    value: np.ndarray
-    weights: list | None
+    value: np.ndarray | None        # None while the node is pending
+    cdf: np.ndarray | None          # (N, A_max) per-player CDF rows; None
+                                    # at a terminal or while pending
     visits: int = 0
 
     def __post_init__(self):
@@ -173,45 +178,73 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     """Per-move search; returns (root value estimate, per-player policies).
 
     Each node's weights are restricted to the legal actions and
-    normalized once, when the node is created. Each simulation descends
-    from the root sampling joint actions from those weights, expands one
-    new edge (or stops at a terminal), and backs the leaf value up the
-    path as a running mean. Terminal leaves ground the scale through a
-    per-player sigmoid of accumulated returns; interior leaves keep the
-    source's value estimate. Root policies are the marginal child-visit
+    normalized once, and kept as per-player CDF rows. Each simulation
+    descends from the root drawing one joint action per step with
+    :func:`bandit.draw_rows` from ``rng.random((N, 1))``, the same
+    doubles as N scalar draws in player order; it expands one new edge
+    (or stops at a terminal), and backs the leaf value up the path as a
+    running mean. Terminal leaves ground the scale through a per-player
+    sigmoid of accumulated returns; interior leaves keep the source's
+    value estimate. Root policies are the marginal child-visit
     distributions.
+
+    A new non-terminal node is pending until a descent steps onto it or
+    the last simulation ends; then every pending node is predicted in
+    one ``source.predict`` call. Descent reads only weights, so it makes
+    the same draws as it would with each node predicted when it is
+    made. The backups are replayed in simulation order after the last
+    prediction, so every node takes the same float operations: a new
+    leaf is first visited by its own simulation.
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
+    n = game.num_players
+    a_max = max(game.spec.action_counts)
+    pending = []
 
     def make_node(s):
         if s.terminal:
             return _SearchNode(state=s, value=_sigmoid(
-                game.terminal_returns(s)), weights=None)
-        value, weights = source.predict(game, s)
-        weights = [legal_policy(w, game.legal_actions(s, p))
-                   for p, w in enumerate(weights)]
-        return _SearchNode(state=s, value=np.asarray(value, dtype=float),
-                           weights=weights)
+                game.terminal_returns(s)), cdf=None)
+        node = _SearchNode(state=s, value=None, cdf=None)
+        pending.append(node)
+        return node
+
+    def flush():
+        predictions = source.predict(game, [node.state for node in pending])
+        rows = np.zeros((len(pending), n, a_max))
+        for i, (node, (value, weights)) in enumerate(zip(pending,
+                                                         predictions)):
+            node.value = np.asarray(value, dtype=float)
+            for p, w in enumerate(weights):
+                rows[i, p, :len(w)] = legal_policy(
+                    w, game.legal_actions(node.state, p))
+        for node, cdf in zip(pending, cdf_rows(rows)):
+            node.cdf = cdf
+        pending.clear()
 
     root = make_node(state)
-    n = game.num_players
+    paths = []
     for _ in range(simulations):
         node = root
         path = [root]
-        leaf_value = node.value
         while not node.state.terminal:
-            joint = tuple(sample_index(w, rng) for w in node.weights)
+            if node.cdf is None:
+                flush()
+            joint = tuple(draw_rows(node.cdf, rng.random((n, 1))).tolist())
             child = node.children.get(joint)
             if child is None:
                 child = make_node(game.step(node.state, joint).next_state)
                 node.children[joint] = child
                 path.append(child)
-                leaf_value = child.value
                 break
             node = child
             path.append(node)
-            leaf_value = node.value
+        paths.append(path)
+    if pending:
+        flush()
+    for path in paths:
+        leaf_value = path[-1].value
         for node in path:
             node.visits += 1
             node.value = node.value + (leaf_value - node.value) / node.visits

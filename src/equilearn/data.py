@@ -46,18 +46,24 @@ class GameTree:
 
 
 class UniformPolicySource:
-    """Prediction source for the first iteration: uniform weights,
-    midscale value guesses, exact returns at terminal states."""
+    """Prediction source for the first iteration: uniform weights over
+    the legal actions and midscale value guesses.
 
-    def predict(self, game: Game, state: GameState):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        weights = []
-        for p in range(game.num_players):
-            w = np.zeros(game.spec.action_counts[p])
-            w[list(game.legal_actions(state, p))] = 1.0
-            weights.append(w)
-        return np.full(game.num_players, 0.5), weights
+    Every prediction source has this protocol: ``predict(game, states)``
+    takes a list of non-terminal states and returns one ``(value,
+    per-player weights)`` pair per state.
+    """
+
+    def predict(self, game: Game, states: list) -> list:
+        out = []
+        for state in states:
+            weights = []
+            for p in range(game.num_players):
+                w = np.zeros(game.spec.action_counts[p])
+                w[list(game.legal_actions(state, p))] = 1.0
+                weights.append(w)
+            out.append((np.full(game.num_players, 0.5), weights))
+        return out
 
 
 def _node_for(tree: GameTree, state: GameState, source) -> tuple:
@@ -76,7 +82,7 @@ def _node_for(tree: GameTree, state: GameState, source) -> tuple:
         value = game.terminal_returns(state)
         weights = None
     else:
-        value, weights = source.predict(game, state)
+        [(value, weights)] = source.predict(game, [state])
         value = np.asarray(value, dtype=float)
         weights = [legal_policy(w, game.legal_actions(state, p))
                    for p, w in enumerate(weights)]

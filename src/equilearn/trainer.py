@@ -219,6 +219,8 @@ class LayerResult:
     fit_loss: float
     policy_records: list           # (player, observation, policy) triples
     mean_epsilon: float            # over every state of the layer
+    p95_epsilon: float
+    max_epsilon: float
 
 
 def _legal_masks(game: Game, states) -> np.ndarray:
@@ -271,7 +273,9 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
                                    batch.policies[bi, p, :counts[p]]))
     return LayerResult(values=values_out, source=source, fit_loss=fit_loss,
                        policy_records=policy_records,
-                       mean_epsilon=float(eps.mean()))
+                       mean_epsilon=float(eps.mean()),
+                       p95_epsilon=float(np.percentile(eps, 95)),
+                       max_epsilon=float(eps.max()))
 
 
 class TrainedAgent:
@@ -301,16 +305,18 @@ class TrainedAgent:
     def _policy_stacks(self) -> list:
         return stack_by_shape([m.net for m in self.policy_models])
 
-    def policies(self, state: GameState, obs: list) -> list:
-        """Every player's ``policy(state, p)``, the same bits, from one
-        stacked pass per policy-network shape; ``obs[p]`` is player
-        ``p``'s observation of ``state``."""
-        rows = [None] * self.game.num_players
+    def policies(self, states: list, obs: list) -> list:
+        """Every player's ``policy(state, p)`` for each of ``states``, the
+        same bits, from one stacked pass per policy-network shape;
+        ``obs[i][p]`` is player ``p``'s observation of ``states[i]``.
+        Returns one list of per-player rows per state."""
+        rows = [[None] * self.game.num_players for _ in states]
         for players, stack in self._policy_stacks:
-            out = stack.forward([obs[p] for p in players])
-            for i, p in enumerate(players):
-                rows[p] = legal_policy(out[i, 0],
-                                       self.game.legal_actions(state, p))
+            out = stack.forward([[o[p] for o in obs] for p in players])
+            for m, p in enumerate(players):
+                for i, state in enumerate(states):
+                    rows[i][p] = legal_policy(
+                        out[m, i], self.game.legal_actions(state, p))
         return rows
 
     def act(self, game: Game, state: GameState, player: int,
@@ -326,21 +332,27 @@ class AgentPolicySource:
     def __init__(self, agent: TrainedAgent):
         self.agent = agent
 
-    def predict(self, game: Game, state: GameState):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        weights = self.agent.policies(state, [
-            game.observe(state, p) for p in range(game.num_players)])
-        value = np.full(game.num_players, 0.5)
-        source = self.agent.value_models.get(state.timestep)
-        if source is not None:
-            vals = source.joint_values(game, [state])[0]   # (J, N)
-            # joint probabilities in the C order of joint_actions
-            probs = functools.reduce(np.multiply.outer, weights).ravel()
-            total = probs.sum()
-            if total > 0:
-                value = (vals * (probs / total)[:, None]).sum(axis=0)
-        return value, weights
+    def predict(self, game: Game, states: list) -> list:
+        """``(value, per-player weights)`` of each non-terminal state.
+
+        Joint values are evaluated one state at a time: the bits of
+        ``joint_values`` depend on how many rows its products take.
+        """
+        n = game.num_players
+        obs = [[game.observe(s, p) for p in range(n)] for s in states]
+        out = []
+        for state, weights in zip(states, self.agent.policies(states, obs)):
+            value = np.full(n, 0.5)
+            source = self.agent.value_models.get(state.timestep)
+            if source is not None:
+                vals = source.joint_values(game, [state])[0]   # (J, N)
+                # joint probabilities in the C order of joint_actions
+                probs = functools.reduce(np.multiply.outer, weights).ravel()
+                total = probs.sum()
+                if total > 0:
+                    value = (vals * (probs / total)[:, None]).sum(axis=0)
+            out.append((value, weights))
+        return out
 
 
 def deepest_layer(tree: GameTree) -> int:
@@ -499,6 +511,8 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             rows.append({
                 "iteration": it, "layer": h, "mean_stage_value": mean_v,
                 "mean_epsilon": result.mean_epsilon,
+                "p95_epsilon": result.p95_epsilon,
+                "max_epsilon": result.max_epsilon,
                 "regression_loss": result.fit_loss,
                 "policy_loss": None, "gate": None,
             })
@@ -519,7 +533,8 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
                 obs, targets, tc.policy_epochs, tc.batch_size, rng))
         rows.append({
             "iteration": it, "layer": None, "mean_stage_value": None,
-            "mean_epsilon": None, "regression_loss": None,
+            "mean_epsilon": None, "p95_epsilon": None, "max_epsilon": None,
+            "regression_loss": None,
             "policy_loss": float(np.mean(policy_losses)),
         })
         return TrainedAgent(game, policy_models, value_models), rows

@@ -6,10 +6,11 @@ never from fitted approximators.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from equilearn.bandit import default_schedule, sample_index
+from equilearn.bandit import default_schedule, legal_policy, sample_index
 from equilearn.cce import ma_exp_ix_batch, normalize_losses
 from equilearn.trainer import fill_shared, value_players
 
@@ -178,24 +179,25 @@ def loop_prune_dominated(loss_tensor, legal):
 
 
 class PerPlayerSmctsSource:
-    """The search baseline's node predictions one player at a time: a
-    single-row forward per player through each policy and value network.
-    ``predict`` and ``state_value`` are ``SmctsSource.predict`` and
-    ``SmctsAgent.state_value`` as they were before the stacked pass,
-    verbatim but for the receiver; the stacked pass must match them byte
-    for byte.
+    """The search baseline's node predictions one state and one player at
+    a time: a single-row forward per player through each policy and value
+    network. ``predict`` and ``state_value`` are ``SmctsSource.predict``
+    and ``SmctsAgent.state_value`` as they were before the stacked pass,
+    verbatim but for the receiver and the list protocol; the stacked
+    pass must match them byte for byte.
     """
 
     def __init__(self, agent):
         self.agent = agent
 
-    def predict(self, game, state):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        weights = [self.agent.policy(state, p)
-                   for p in range(game.num_players)]
-        value = self.state_value(state)
-        return value, weights
+    def predict(self, game, states):
+        out = []
+        for state in states:
+            weights = [self.agent.policy(state, p)
+                       for p in range(game.num_players)]
+            value = self.state_value(state)
+            out.append((value, weights))
+        return out
 
     def state_value(self, state):
         agent = self.agent
@@ -205,3 +207,77 @@ class PerPlayerSmctsSource:
             obs = agent.game.observe(state, p)
             out[p] = float(agent.value_models[p].predict(obs)[0])
         return fill_shared(out, agent.share_mode)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def searchsorted_index(weights, rng):
+    """The action sampler as it was before the row draw: one uniform,
+    located in the rescaled cumulative sum by ``searchsorted``."""
+    c = np.cumsum(weights, dtype=float)
+    c /= c[-1]
+    return int(np.searchsorted(c, rng.random(), side="right"))
+
+
+@dataclass
+class _SearchNode:
+    state: object
+    value: np.ndarray
+    weights: list | None
+    visits: int = 0
+
+    def __post_init__(self):
+        self.children: dict = {}
+
+
+def sequential_smcts_search(game, state, source, simulations, rng):
+    """The search baseline as it was before batched leaf evaluation: each
+    new node is predicted when it is made, one state per call, and each
+    simulation backs up before the next descends. Verbatim but for the
+    list-protocol adapter (one state per ``source.predict`` call) and
+    the sampler, :func:`searchsorted_index`; the batched search must match
+    its root value, root policies and generator stream byte for byte.
+    """
+    if simulations < 1:
+        raise ValueError("need at least one simulation")
+
+    def make_node(s):
+        if s.terminal:
+            return _SearchNode(state=s, value=_sigmoid(
+                game.terminal_returns(s)), weights=None)
+        [(value, weights)] = source.predict(game, [s])
+        weights = [legal_policy(w, game.legal_actions(s, p))
+                   for p, w in enumerate(weights)]
+        return _SearchNode(state=s, value=np.asarray(value, dtype=float),
+                           weights=weights)
+
+    root = make_node(state)
+    n = game.num_players
+    for _ in range(simulations):
+        node = root
+        path = [root]
+        leaf_value = node.value
+        while not node.state.terminal:
+            joint = tuple(searchsorted_index(w, rng) for w in node.weights)
+            child = node.children.get(joint)
+            if child is None:
+                child = make_node(game.step(node.state, joint).next_state)
+                node.children[joint] = child
+                path.append(child)
+                leaf_value = child.value
+                break
+            node = child
+            path.append(node)
+            leaf_value = node.value
+        for node in path:
+            node.visits += 1
+            node.value = node.value + (leaf_value - node.value) / node.visits
+    policies = []
+    for p in range(n):
+        counts = np.zeros(game.spec.action_counts[p])
+        for joint, child in root.children.items():
+            counts[joint[p]] += child.visits
+        policies.append(legal_policy(counts, game.legal_actions(state, p)))
+    return root.value, policies

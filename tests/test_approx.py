@@ -136,11 +136,14 @@ def test_model_stack_groups_by_shape_and_keeps_bits():
         ModelStack([a, b])
     groups = stack_by_shape([a, b, c])
     assert [ix for ix, _ in groups] == [[0, 2], [1]]
-    obs = np.random.default_rng(3).normal(size=(2, 3))
-    out = groups[0][1].forward(list(obs))
-    assert out.shape == (2, 1, 3)
-    for row, net, o in zip(out, (a, c), obs):
-        assert row.tobytes() == net.forward(o).tobytes()
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 64):
+        obs = rng.normal(size=(2, k, 3))
+        out = groups[0][1].forward(obs)
+        assert out.shape == (2, k, 3)
+        for rows, net, model_obs in zip(out, (a, c), obs):
+            for row, o in zip(rows, model_obs):
+                assert row.tobytes() == net.forward(o).tobytes()
 
 
 def test_composed_model_gradient_check():

@@ -13,7 +13,7 @@ from equilearn.bandit import (IxParams, RegretTrace, WeightRow,
                               default_schedule, ix_update,
                               policy_from_weights, regret, run_exp_ix,
                               sample_index)
-from equilearn.baseline import SmctsAgent
+from equilearn.baseline import SmctsAgent, smcts_search
 from equilearn.data import _node_for, _sample_action
 from equilearn.trainer import TrainedAgent
 
@@ -152,19 +152,42 @@ DRAW_SITES = {
         search_play=False).act(game, None, 0, rng),
     "tree-rollout": lambda game, row, rng: _sample_action(
         game, _rollout_node(game, row), 0, False, rng),
+    "search-descent": lambda game, row, rng: _search_draw(game, row, rng),
 }
 
 
+def _row_source(row):
+    """A source that predicts ``row`` as player 0's weights."""
+    return SimpleNamespace(predict=lambda game, states: [
+        (np.zeros(1), [np.array(row)]) for _ in states])
+
+
 def _rollout_node(game, row):
-    """A rollout node built as tree generation builds it, from a source
-    that predicts ``row`` as player 0's weights."""
+    """A rollout node built as tree generation builds it."""
     tree = SimpleNamespace(game=game, layers=[{}])
     state = SimpleNamespace(timestep=0, terminal=False, key=lambda: "s")
-    source = SimpleNamespace(
-        predict=lambda game, state: (np.zeros(1), [np.array(row)]))
-    node, created = _node_for(tree, state, source)
+    node, created = _node_for(tree, state, _row_source(row))
     assert created
     return node
+
+
+def _search_draw(game, row, rng):
+    """The action of a one-simulation search's one descent step, in a
+    one-player game whose every step ends it."""
+    joints = []
+
+    def step(state, joint):
+        joints.append(joint)
+        return SimpleNamespace(next_state=SimpleNamespace(terminal=True))
+
+    game = SimpleNamespace(
+        num_players=1, spec=SimpleNamespace(action_counts=(len(row),)),
+        legal_actions=game.legal_actions, step=step,
+        terminal_returns=lambda state: np.zeros(1))
+    smcts_search(game, SimpleNamespace(terminal=False), _row_source(row), 1,
+                 rng)
+    [(action,)] = joints
+    return action
 
 
 @pytest.mark.parametrize("site", sorted(DRAW_SITES))
@@ -173,5 +196,6 @@ def test_action_draws_stay_legal(site, trap):
     row, legal, u = ZERO_WEIGHT_TRAPS[trap]
     game = SimpleNamespace(observe=lambda state, p: np.zeros(1),
                            legal_actions=lambda state, p: legal)
-    rng = SimpleNamespace(random=lambda: u)
+    rng = SimpleNamespace(
+        random=lambda size=None: u if size is None else np.full(size, u))
     assert DRAW_SITES[site](game, row, rng) in legal

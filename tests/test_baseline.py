@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from _oracles import PerPlayerSmctsSource
+from _oracles import PerPlayerSmctsSource, sequential_smcts_search
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
@@ -96,11 +96,10 @@ def _skewed_game():
 
 
 class _UniformSource:
-    def predict(self, game, state):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        weights = [np.ones(a) for a in game.spec.action_counts]
-        return np.full(game.num_players, 0.5), weights
+    def predict(self, game, states):
+        return [(np.full(game.num_players, 0.5),
+                 [np.ones(a) for a in game.spec.action_counts])
+                for _ in states]
 
 
 def test_smcts_search_uniform_weights_give_uniform_policy():
@@ -252,15 +251,16 @@ class _IllegalMassSource:
     """Weights with 50 times more mass on each played card than on
     each card still in hand."""
 
-    def predict(self, game, state):
-        if state.terminal:
-            return game.terminal_returns(state), None
-        weights = []
-        for p, k in enumerate(game.spec.action_counts):
-            w = np.full(k, 50.0)
-            w[list(game.legal_actions(state, p))] = 1.0
-            weights.append(w)
-        return np.full(game.num_players, 0.5), weights
+    def predict(self, game, states):
+        out = []
+        for state in states:
+            weights = []
+            for p, k in enumerate(game.spec.action_counts):
+                w = np.full(k, 50.0)
+                w[list(game.legal_actions(state, p))] = 1.0
+                weights.append(w)
+            out.append((np.full(game.num_players, 0.5), weights))
+        return out
 
 
 def test_smcts_search_draws_stay_legal():
@@ -287,17 +287,22 @@ def _two_by_three(tmp_path):
     return game_from_id(f"matrix:{path}")
 
 
+def _game(tmp_path, game_id):
+    return (_two_by_three(tmp_path) if game_id == "two-by-three"
+            else game_from_id(game_id))
+
+
 @pytest.mark.parametrize("game_id, share, stacks", [
     ("pursuit", "none", 1), ("goofspiel:4", "zero_sum", 1),
     ("two-by-three", "none", 2)])
 def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
                                                        share, stacks):
-    """One stacked pass per network shape gives the same bits as one
-    single-row forward per player and network, node by node and over
-    whole searches; players whose networks differ in shape (2 and 3
-    actions) form separate stacks."""
-    game = (_two_by_three(tmp_path) if game_id == "two-by-three"
-            else game_from_id(game_id))
+    """One stacked pass per network shape, over batches of 1 to 25
+    states, gives the same bits as one single-row forward per state,
+    player and network, node by node and over whole searches; players
+    whose networks differ in shape (2 and 3 actions) form separate
+    stacks."""
+    game = _game(tmp_path, game_id)
     assert share_mode_for(game) == share
     agent = _small_agent(game, 3, "stacked", simulations=30)
     stacked, oracle = SmctsSource(agent), PerPlayerSmctsSource(agent)
@@ -305,13 +310,19 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
                          rng=np.random.default_rng(0))
     states = [node.state for layer in tree.layers for node in layer.values()
               if not node.state.terminal]
-    for state in states:
-        value, weights = stacked.predict(game, state)
-        want_value, want_weights = oracle.predict(game, state)
-        assert value.tobytes() == want_value.tobytes()
-        assert len(weights) == game.num_players
-        for w, want in zip(weights, want_weights):
-            assert w.tobytes() == want.tobytes()
+    sizes = [1, 2, 25, 7] if len(states) > 1 else [1]
+    start = 0
+    for k in sizes:
+        batch = [states[(start + i) % len(states)] for i in range(k)]
+        start += k
+        got = stacked.predict(game, batch)
+        assert len(got) == k
+        for (value, weights), (want_value, want_weights) in zip(
+                got, oracle.predict(game, batch)):
+            assert value.tobytes() == want_value.tobytes()
+            assert len(weights) == game.num_players
+            for w, want in zip(weights, want_weights):
+                assert w.tobytes() == want.tobytes()
     assert len(agent._policy_stacks) == stacks
     assert len(agent._value_stacks) == 1
 
@@ -325,3 +336,96 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
         for p, want in zip(policies, want_policies):
             assert p.tobytes() == want.tobytes()
     assert rngs[0].random() == rngs[1].random()
+
+
+class _ZeroLegalSource:
+    """Weights with no mass on any legal action, so every node falls back
+    to uniform play over its legal actions."""
+
+    def predict(self, game, states):
+        out = []
+        for state in states:
+            weights = []
+            for p, k in enumerate(game.spec.action_counts):
+                w = np.full(k, 3.0)
+                w[list(game.legal_actions(state, p))] = 0.0
+                weights.append(w)
+            out.append((np.full(game.num_players, 0.25), weights))
+        return out
+
+
+SEARCH_SOURCES = {
+    "smcts": lambda game: SmctsSource(_small_agent(game, 3, "smcts")),
+    "illegal-mass": lambda game: _IllegalMassSource(),
+    "zero-legal": lambda game: _ZeroLegalSource(),
+}
+
+
+def _search_states(game, walks=3, seed=0):
+    """A start state, a state halfway down and a state one step from the
+    horizon (every child terminal) of each of ``walks`` uniform random
+    walks."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(walks):
+        state, walk = game.sample_start(rng), []
+        while not state.terminal:
+            walk.append(state)
+            joint = tuple(int(rng.choice(game.legal_actions(state, p)))
+                          for p in range(game.num_players))
+            state = game.step(state, joint).next_state
+        out.extend(walk[i] for i in sorted({0, len(walk) // 2,
+                                            len(walk) - 1}))
+    return out
+
+
+@pytest.mark.parametrize("simulations", [1, 25, 300])
+@pytest.mark.parametrize("source_name", sorted(SEARCH_SOURCES))
+@pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4",
+                                     "two-by-three"])
+def test_batched_search_matches_sequential_search(tmp_path, game_id,
+                                                  source_name, simulations):
+    """Deferred, batched leaf prediction gives the root value, root
+    policies and generator stream of the search that predicts each node
+    when it is made and backs up after every simulation."""
+    game = _game(tmp_path, game_id)
+    source = SEARCH_SOURCES[source_name](game)
+    states = _search_states(game)
+    assert any(s.timestep == game.horizon - 1 for s in states)
+    for i, state in enumerate(states):
+        rngs = np.random.default_rng(i), np.random.default_rng(i)
+        value, policies = smcts_search(game, state, source, simulations,
+                                       rngs[0])
+        want_value, want_policies = sequential_smcts_search(
+            game, state, source, simulations, rngs[1])
+        assert value.tobytes() == want_value.tobytes()
+        for p, want in zip(policies, want_policies):
+            assert p.tobytes() == want.tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
+
+def test_search_predicts_pending_nodes_together():
+    """The search predicts its new nodes in fewer ``predict`` calls than
+    nodes, and predicts each node once."""
+    game = game_from_id("pursuit")
+    inner = SmctsSource(_small_agent(game, 3, "smcts"))
+    batches = []
+
+    class Counting:
+        def predict(self, game, states):
+            batches.append(len(states))
+            return inner.predict(game, states)
+
+    state = game.start_states()[0][0]
+    smcts_search(game, state, Counting(), 25, np.random.default_rng(0))
+    sequential = []
+
+    class OneByOne:
+        def predict(self, game, states):
+            sequential.append(len(states))
+            return inner.predict(game, states)
+
+    sequential_smcts_search(game, state, OneByOne(), 25,
+                            np.random.default_rng(0))
+    assert sum(batches) == len(sequential)
+    assert len(batches) < len(sequential)

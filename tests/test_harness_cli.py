@@ -261,7 +261,11 @@ def test_cli_train_and_match_pipeline(tmp_path, capsys):
     # zero-sum sharing: one value net (player 0, layer 0) plus 2 policies
     assert ccef == ["matrix-mp_0_0.ccef", "matrix-mp_0_policy.ccef",
                     "matrix-mp_1_policy.ccef"]
-    assert os.path.exists(os.path.join(train_dir, "training_log.tsv"))
+    with open(os.path.join(train_dir, "training_log.tsv")) as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+    assert header == ["iteration", "layer", "mean_stage_value",
+                      "mean_epsilon", "p95_epsilon", "max_epsilon",
+                      "regression_loss", "policy_loss", "gate"]
 
     out_dir = str(tmp_path / "match")
     assert main(["head2head", "--game", "matrix:mp", "--out-dir", out_dir,

@@ -105,7 +105,7 @@ def test_agent_policy_source_is_policy_weighted_joint_value_mean(
     joints = list(itertools.product(*(range(a) for a in counts)))
     assert len(joints) == int(np.prod(counts))
     for state in _walk(game, 3):
-        value, weights = AgentPolicySource(agent).predict(game, state)
+        [(value, weights)] = AgentPolicySource(agent).predict(game, [state])
         vals = source.joint_values(game, [state])[0]
         assert vals.shape == (len(joints), game.num_players)
         total = 0.0
@@ -202,10 +202,10 @@ def test_process_layer_epsilon_is_over_legal_deviations():
 
 
 def test_process_layer_epsilon_covers_every_state(monkeypatch):
-    """The logged epsilon is the mean, over every state of the layer, of
-    the epsilon each state's own solve reaches over its legal
-    deviations. On this layer of 54 states the first three alone give
-    another mean."""
+    """The logged epsilon is the mean, 95th percentile and maximum, over
+    every state of the layer, of the epsilon each state's own solve
+    reaches over its legal deviations. On this layer of 54 states the
+    first three alone give another mean."""
     game = game_from_id("goofspiel:3")
     tree = generate_tree(game, UniformPolicySource(), 400,
                          rng=np.random.default_rng(0))
@@ -237,6 +237,9 @@ def test_process_layer_epsilon_covers_every_state(monkeypatch):
         dist = out.joint_counts[b].reshape(tensors.shape[1:-1]) / out.rounds
         eps.append(verify_cce(tensors[b:b + 1], dist[None], legal)[0])
     assert result.mean_epsilon == pytest.approx(np.mean(eps), abs=1e-12)
+    assert result.p95_epsilon == pytest.approx(np.percentile(eps, 95),
+                                               abs=1e-12)
+    assert result.max_epsilon == max(eps)
     assert abs(np.mean(eps[:3]) - np.mean(eps)) > 1e-3
 
 
