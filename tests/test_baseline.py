@@ -1,5 +1,7 @@
 """Tests for the simultaneous-move search baseline."""
 
+import itertools
+
 import numpy as np
 import pytest
 from _oracles import PerPlayerSmctsSource, sequential_smcts_search
@@ -310,13 +312,12 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
                          rng=np.random.default_rng(0))
     states = [node.state for layer in tree.layers for node in layer.values()
               if not node.state.terminal]
-    sizes = [1, 2, 25, 7] if len(states) > 1 else [1]
-    start = 0
-    for k in sizes:
-        batch = [states[(start + i) % len(states)] for i in range(k)]
-        start += k
+    sizes, start = itertools.cycle([1, 2, 25, 7]), 0
+    while start < len(states):
+        batch = states[start:start + next(sizes)]
+        start += len(batch)
         got = stacked.predict(game, batch)
-        assert len(got) == k
+        assert len(got) == len(batch)
         for (value, weights), (want_value, want_weights) in zip(
                 got, oracle.predict(game, batch)):
             assert value.tobytes() == want_value.tobytes()
