@@ -6,8 +6,7 @@ and a head-to-head evaluation harness.
 
 from . import approx, baseline, cce, config, data, games, harness, persist, \
     trainer
-from .bandit import IxParams, default_schedule, ix_update, \
-    policy_from_weights, run_exp_ix
+from .bandit import IxParams, default_schedule, run_exp_ix
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
 from .config import Config, ConfigError, load_config
@@ -19,8 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "approx", "baseline", "cce", "config", "data", "games", "harness",
     "persist", "trainer",
-    "IxParams", "default_schedule", "ix_update", "policy_from_weights",
-    "run_exp_ix",
+    "IxParams", "default_schedule", "run_exp_ix",
     "ma_exp_ix_batch", "normalize_losses", "prune_dominated",
     "verify_cce",
     "Config", "ConfigError", "load_config",

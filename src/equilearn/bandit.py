@@ -1,13 +1,16 @@
-"""Single-agent EXP-IX adversarial bandit.
+"""The one EXP-IX rule and the action sampler.
 
-Weights live in log-space: the multiplicative update w <- w * exp(-eta
-* l_hat) underflows over long runs, so we store log-weights and
-normalize with a max shift when converting to a policy. The loss
-estimator uses implicit exploration: l_hat = l / (p + gamma_ix) on the
-chosen arm only.
+EXP-IX (Neu 2015) keeps log-weights: the multiplicative update w <- w *
+exp(-eta * l_hat) underflows over long runs, so :func:`ix_policies`
+normalizes with a max shift. The loss estimator uses implicit
+exploration: l_hat = l / (p + gamma_ix) on the chosen arm only
+(:func:`ix_update_rows`). The stage solver
+(:func:`~equilearn.cce.ma_exp_ix_batch`) and the one-player driver
+:func:`run_exp_ix`, whose regret the acceptance tests check, both run
+these functions.
 
-The module also holds the one rule by which every agent, rollout and
-search draws an action from weights (:func:`legal_policy`,
+The module also holds the one rule by which every learner, agent,
+rollout and search draws an action from weights (:func:`legal_policy`,
 :func:`cdf_rows` and :func:`draw_rows`, whose one-row case is
 :func:`sample_index`).
 """
@@ -32,40 +35,24 @@ class IxParams:
             raise ValueError("gamma_ix must be finite and non-negative")
 
 
-@dataclass
-class WeightRow:
-    """Log-domain weights for one player's K arms."""
-
-    log_weights: np.ndarray
-
-    @classmethod
-    def uniform(cls, k: int) -> "WeightRow":
-        return cls(log_weights=np.zeros(k))
-
-    @property
-    def k(self) -> int:
-        return len(self.log_weights)
-
-    def copy(self) -> "WeightRow":
-        return WeightRow(self.log_weights.copy())
+def ix_policies(log_w: np.ndarray, neg_inf) -> np.ndarray:
+    """EXP-IX policies from log-weights: a max-shifted softmax along the
+    last axis. ``neg_inf`` is 0 on playable arms and -inf on masked
+    ones, which get exactly 0; each row needs one playable arm."""
+    lw = log_w + neg_inf
+    lw -= np.maximum.reduce(lw, axis=-1, keepdims=True)
+    w = np.exp(lw)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    return w
 
 
-def policy_from_weights(row: WeightRow, mask: np.ndarray | None = None
-                        ) -> np.ndarray:
-    """Simplex over arms via max-shifted exponentiation of log-weights.
-
-    ``mask`` (boolean, True = playable) zeroes masked arms before
-    renormalizing; at least one arm must be playable.
-    """
-    lw = row.log_weights
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("mask leaves no playable arm")
-        lw = np.where(mask, lw, -np.inf)
-    shifted = lw - lw.max()
-    w = np.exp(shifted)
-    return w / w.sum()
+def ix_update_rows(log_w: np.ndarray, rows: tuple, chosen, losses, p_sel,
+                   params: IxParams) -> None:
+    """The IX update, in place: each row's ``chosen`` arm (at
+    ``log_w[rows + (chosen,)]``) drops by eta * loss / (p + gamma_ix),
+    where ``p_sel`` is the probability it was drawn with and ``losses``
+    lie in [0, 1]. Every other arm keeps its log-weight."""
+    log_w[rows + (chosen,)] -= params.eta * losses / (p_sel + params.gamma_ix)
 
 
 def legal_policy(weights, legal) -> np.ndarray:
@@ -90,9 +77,11 @@ def cdf_rows(weights) -> np.ndarray:
 
 def draw_rows(cdf: np.ndarray, u) -> np.ndarray:
     """One index per row of ``cdf`` (from :func:`cdf_rows`) for uniform
-    draws ``u`` in [0, 1), shaped ``cdf.shape[:-1] + (1,)`` (a float for
-    a single row): the ``k`` with ``cdf[k-1] <= u < cdf[k]``, which has
-    positive weight, since each row ends at exactly 1.
+    draws ``u`` in [0, 1), shaped ``cdf.shape[:-1] + (1,)`` or a scalar
+    for a single row: the ``k`` with ``cdf[k-1] <= u < cdf[k]``, which
+    has positive weight, since each row ends at exactly 1. Returns an
+    int array of shape ``cdf.shape[:-1]`` (a ``numpy.int64`` for a
+    single row).
 
     Counting the entries at or below ``u`` gives the index that
     ``searchsorted(side="right")`` gives on a nondecreasing row.
@@ -105,19 +94,6 @@ def sample_index(weights, rng: np.random.Generator) -> int:
     uniform draw; a zero-weight index is never returned. It is the
     one-row case of :func:`draw_rows`."""
     return int(draw_rows(cdf_rows(weights), rng.random()))
-
-
-def ix_update(row: WeightRow, chosen: int, loss: float, p_chosen: float,
-              params: IxParams) -> WeightRow:
-    """One EXP-IX update; only the chosen arm's log-weight changes."""
-    if not (0.0 <= loss <= 1.0):
-        raise ValueError(f"loss {loss} outside [0, 1]; "
-                         "normalize losses upstream")
-    if not (0.0 < p_chosen <= 1.0):
-        raise ValueError(f"p_chosen {p_chosen} outside (0, 1]")
-    out = row.copy()
-    out.log_weights[chosen] -= params.eta * loss / (p_chosen + params.gamma_ix)
-    return out
 
 
 def default_schedule(k: int, rounds: int) -> IxParams:
@@ -163,20 +139,26 @@ def regret(trace: RegretTrace) -> float:
 
 def run_exp_ix(loss_fn, k: int, rounds: int, rng: np.random.Generator,
                params: IxParams | None = None) -> RegretTrace:
-    """Play EXP-IX for ``rounds`` against ``loss_fn(t, rng) -> loss vector``.
+    """Play EXP-IX for ``rounds`` against ``loss_fn(t, rng) -> loss vector``
+    of shape (k,) with entries in [0, 1].
 
-    Returns the regret trace; used by tests and demos as a simulation
-    driver, not by the stage solver.
+    It is the stage solver's rule on one game with one player: one
+    (k,) row of log-weights through :func:`ix_policies`,
+    :func:`sample_index` and :func:`ix_update_rows`. Returns the regret
+    trace; tests and demos use it as a simulation driver.
     """
     if params is None:
         params = default_schedule(k, rounds)
-    row = WeightRow.uniform(k)
+    log_w = np.zeros(k)
     trace = RegretTrace(k=k)
     for t in range(rounds):
-        p = policy_from_weights(row)
+        p = ix_policies(log_w, 0.0)
         chosen = sample_index(p, rng)
-        losses = loss_fn(t, rng)
+        losses = np.asarray(loss_fn(t, rng), dtype=float)
+        if losses.shape != (k,) or not all(0.0 <= x <= 1.0
+                                           for x in losses.tolist()):
+            raise ValueError(f"loss vector {losses} is not {k} values in "
+                             "[0, 1]; normalize losses upstream")
         trace.record(chosen, losses)
-        row = ix_update(row, chosen, float(losses[chosen]), float(p[chosen]),
-                        params)
+        ix_update_rows(log_w, (), chosen, losses[chosen], p[chosen], params)
     return trace

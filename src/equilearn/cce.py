@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import IxParams, default_schedule
+from .bandit import (IxParams, cdf_rows, default_schedule, draw_rows,
+                     ix_policies, ix_update_rows)
 
 LOSS_TOL = 1e-9
 
@@ -94,9 +95,11 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
 
     ``loss_tensors`` has shape (B, A_1, ..., A_N, N) and ``masks``
     (B, N, A_max), True = playable. Every round each player of each game
-    draws an arm from its masked weight policy by the rule of
-    :func:`~equilearn.bandit.sample_index`, the joint loss is looked up,
-    and each player applies the IX update on its own chosen arm. The
+    draws an arm from its masked policy
+    (:func:`~equilearn.bandit.ix_policies`, then
+    :func:`~equilearn.bandit.draw_rows`), the joint loss is looked up,
+    and each player applies the IX update
+    (:func:`~equilearn.bandit.ix_update_rows`) on its own chosen arm. The
     games are independent; the batch dimension only vectorizes them.
     Games that leave every player one playable arm skip the sampling
     and give the same result, and the same generator state after it.
@@ -115,7 +118,6 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
     flat_losses = t.reshape(b, joint, n)
     if params is None:
         params = default_schedule(max(2, a_max), rounds)
-    eta, gamma = params.eta, params.gamma_ix
 
     # strides map per-player arms to a flat joint-action index
     strides = np.empty(n, dtype=int)
@@ -135,7 +137,7 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
     fixed_arm = masks[fixed].argmax(axis=2)                  # (F, N)
     fixed_flat = fixed_arm @ strides
     fixed_loss = flat_losses[fixed, fixed_flat]              # (F, N)
-    fixed_step = eta * fixed_loss / (1.0 + gamma)
+    fixed_step = params.eta * fixed_loss / (1.0 + params.gamma_ix)  # at p = 1
     fixed_sums = np.zeros((len(fixed), n))
     fixed_w = np.zeros((len(fixed), n))
 
@@ -155,19 +157,14 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
         fixed_w -= fixed_step
         if not nl:
             continue
-        lw = live_w + live_neg_inf
-        lw -= lw.max(axis=2, keepdims=True)
-        w = np.exp(lw)
-        p = w / w.sum(axis=2, keepdims=True)
-        c = np.cumsum(p, axis=2)
-        c /= c[:, :, -1:]
-        chosen = (u[live] >= c).sum(axis=2)
-        p_sel = p[bi, ni, chosen]
+        p = ix_policies(live_w, live_neg_inf)
+        chosen = draw_rows(cdf_rows(p), u[live])
         flat = chosen @ strides
         losses = live_losses[li, flat]                   # (L, N)
         live_sums += losses
         np.add.at(live_counts, (li, flat), 1)
-        live_w[bi, ni, chosen] -= eta * losses / (p_sel + gamma)
+        ix_update_rows(live_w, (bi, ni), chosen, losses, p[bi, ni, chosen],
+                       params)
 
     log_w = np.zeros((b, n, a_max))
     log_w[live] = live_w
@@ -179,10 +176,7 @@ def ma_exp_ix_batch(loss_tensors: np.ndarray, rounds: int,
     counts[live] = live_counts
     counts[fixed, fixed_flat] = rounds
 
-    lw = log_w + neg_inf
-    lw -= lw.max(axis=2, keepdims=True)
-    w = np.exp(lw)
-    policies = w / w.sum(axis=2, keepdims=True)
+    policies = ix_policies(log_w, neg_inf)
     values = 1.0 - loss_sums / rounds
     return BatchCceOutcome(log_weights=log_w, policies=policies,
                            values=values, joint_counts=counts, masks=masks,

@@ -1,5 +1,5 @@
-"""Tests for the single-agent EXP-IX bandit and the shared action
-sampler."""
+"""Tests for the EXP-IX rule, its one-player driver and the shared
+action sampler."""
 
 import math
 from types import SimpleNamespace
@@ -8,19 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from equilearn.bandit import (IxParams, RegretTrace, WeightRow,
-                              default_schedule, ix_update,
-                              policy_from_weights, regret, run_exp_ix,
-                              sample_index)
+from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
+                              ix_policies, ix_update_rows, regret,
+                              run_exp_ix, sample_index)
 from equilearn.baseline import SmctsAgent, smcts_search
+from equilearn.cce import ma_exp_ix_batch
 from equilearn.data import _node_for, _sample_action
 from equilearn.trainer import TrainedAgent
 
 
 def test_uniform_row_gives_uniform_policy():
-    row = WeightRow.uniform(4)
-    np.testing.assert_allclose(policy_from_weights(row), np.full(4, 0.25))
+    np.testing.assert_allclose(ix_policies(np.zeros(4), 0.0),
+                               np.full(4, 0.25))
 
 
 def test_ix_update_frozen_oracle():
@@ -28,32 +29,41 @@ def test_ix_update_frozen_oracle():
     # with eta = 1 the chosen arm's log-weight drops by l_hat, so
     # p0 = 1 / (1 + e^{0.181818...}) = 0.454670, p1 = 0.545330.
     params = IxParams(eta=1.0, gamma_ix=0.05)
-    row = ix_update(WeightRow.uniform(2), chosen=0, loss=0.1, p_chosen=0.5,
-                    params=params)
-    p = policy_from_weights(row)
+    log_w = np.zeros(2)
+    ix_update_rows(log_w, (), 0, 0.1, 0.5, params)
+    p = ix_policies(log_w, 0.0)
     np.testing.assert_allclose(p, [0.454670, 0.545330], atol=1e-5)
 
 
 def test_ix_update_only_touches_chosen_arm():
+    # a (B, N, A) block: each (game, player) row moves its chosen arm by
+    # eta * l / (p + gamma) and no other arm
     params = IxParams(eta=0.3, gamma_ix=0.1)
-    row = WeightRow.uniform(5)
-    out = ix_update(row, chosen=2, loss=0.7, p_chosen=0.2, params=params)
-    assert out.log_weights[2] < 0.0
-    for i in (0, 1, 3, 4):
-        assert out.log_weights[i] == 0.0
-    # the input row is untouched
-    np.testing.assert_array_equal(row.log_weights, np.zeros(5))
+    g = np.random.default_rng(0)
+    before = g.normal(size=(4, 3, 5))
+    chosen = g.integers(0, 5, size=(4, 3))
+    losses = g.uniform(0.1, 1.0, size=(4, 3))
+    p_sel = g.uniform(0.1, 1.0, size=(4, 3))
+    rows = (np.arange(4)[:, None], np.arange(3)[None, :])
+    log_w = before.copy()
+    ix_update_rows(log_w, rows, chosen, losses, p_sel, params)
+    picked = np.zeros(before.shape, dtype=bool)
+    picked[rows + (chosen,)] = True
+    np.testing.assert_array_equal(log_w[~picked], before[~picked])
+    assert (log_w[picked] < before[picked]).all()
+    np.testing.assert_allclose(
+        before[rows + (chosen,)] - log_w[rows + (chosen,)],
+        0.3 * losses / (p_sel + 0.1), rtol=1e-12)
 
 
 def test_ix_update_rejects_bad_inputs():
-    params = IxParams(eta=0.1, gamma_ix=0.05)
-    row = WeightRow.uniform(3)
-    with pytest.raises(ValueError):
-        ix_update(row, 0, loss=1.5, p_chosen=0.5, params=params)
-    with pytest.raises(ValueError):
-        ix_update(row, 0, loss=-0.1, p_chosen=0.5, params=params)
-    with pytest.raises(ValueError):
-        ix_update(row, 0, loss=0.5, p_chosen=0.0, params=params)
+    # the driver's loss vectors come from outside the solver: each must
+    # be k values in [0, 1]
+    for losses in ([0.5, 1.5, 0.2], [0.5, -0.1, 0.2], [0.5, np.nan, 0.2],
+                   [0.5, 0.2]):
+        with pytest.raises(ValueError):
+            run_exp_ix(lambda t, rng: np.array(losses), 3, 10,
+                       np.random.default_rng(0))
 
 
 def test_params_validation():
@@ -74,20 +84,43 @@ def test_default_schedule_frozen_oracle():
 
 
 def test_masked_policy_zeroes_masked_arms():
-    row = WeightRow(np.array([1.0, 0.0, -1.0]))
-    p = policy_from_weights(row, mask=np.array([True, False, True]))
+    p = ix_policies(np.array([1.0, 0.0, -1.0]),
+                    np.array([0.0, -np.inf, 0.0]))
     assert p[1] == 0.0
     assert p.sum() == pytest.approx(1.0)
     assert p[0] > p[2]
-    with pytest.raises(ValueError):
-        policy_from_weights(row, mask=np.zeros(3, dtype=bool))
 
 
-@given(lw=st.lists(st.floats(-50, 50), min_size=2, max_size=8))
-def test_policy_is_simplex(lw):
-    p = policy_from_weights(WeightRow(np.array(lw)))
-    assert np.all(p >= 0.0)
-    assert p.sum() == pytest.approx(1.0)
+@given(lw=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                              max_side=6),
+                     elements=st.floats(-50, 50)),
+       data=st.data())
+def test_policy_is_simplex(lw, data):
+    """Masked (B, N, A) blocks: every row is a distribution that puts
+    exactly 0 on its masked arms."""
+    masks = data.draw(hnp.arrays(bool, lw.shape))
+    masks[~masks.any(axis=-1), 0] = True
+    p = ix_policies(lw, np.where(masks, 0.0, -np.inf))
+    assert p.shape == lw.shape
+    assert np.all(p >= 0.0) and np.all(p[~masks] == 0.0)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 10])
+def test_run_exp_ix_is_the_solver_rule(k):
+    """Criterion 1's driver runs the stage solver's rule: on a fixed
+    loss vector it incurs the solver's one-player value to the byte and
+    leaves the generator where the solver leaves it."""
+    fixed = np.random.default_rng(100 + k).random(k)
+    rounds = 300
+    for seed in range(10):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
+        trace = run_exp_ix(lambda t, rng: fixed, k, rounds, rng_a)
+        out = ma_exp_ix_batch(fixed[None, :, None], rounds, rng=rng_b)
+        driver = 1.0 - trace.cumulative_loss_incurred / rounds
+        assert np.float64(driver).tobytes() == out.values[0, 0].tobytes()
+        assert rng_a.random(4).tobytes() == rng_b.random(4).tobytes()
 
 
 @settings(deadline=None)
