@@ -24,9 +24,12 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, computed in place in ``logits``,
+    which callers pass as a temporary they do not read again."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def infer(weights, biases, x, head_kind) -> np.ndarray:
@@ -39,13 +42,16 @@ def infer(weights, biases, x, head_kind) -> np.ndarray:
     ``(M, 1, 1, d_out)`` and ``x`` is ``(M, k, 1, d_in)``; each
     (network, row) slice gets the same matmul, adds and softmax as that
     network alone on that one row, so its outputs are the same bits.
+    Each layer's bias add, ReLU and softmax run in place in the fresh
+    product, so the pass holds one activation array per layer.
     """
     h = x
     last = len(weights) - 1
     for li, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if li < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h if head_kind == "linear" else _softmax(h)
 
 

@@ -10,8 +10,10 @@ exploration: l_hat = l / (p + gamma_ix) on the chosen arm only
 these functions.
 
 The module also holds the one rule by which every learner, agent,
-rollout and search draws an action from weights (:func:`legal_policy`,
-:func:`cdf_rows` and :func:`draw_rows`, whose one-row case is
+rollout and search draws an action from weights: :func:`legal_rows`
+restricts blocks of weight rows to their legal arms and normalizes them
+(its one-row case is :func:`legal_policy`), and :func:`cdf_rows` and
+:func:`draw_rows` draw one arm per row (their one-row case is
 :func:`sample_index`).
 """
 
@@ -55,15 +57,36 @@ def ix_update_rows(log_w: np.ndarray, rows: tuple, chosen, losses, p_sel,
     log_w[rows + (chosen,)] -= params.eta * losses / (p_sel + params.gamma_ix)
 
 
+def legal_rows(weights, masks) -> np.ndarray:
+    """Each row of ``weights`` (any ``(..., A)`` block) restricted to the
+    arms its boolean row of ``masks`` marks legal, clipped at zero and
+    normalized; uniform over the legal arms when a row has no mass (all
+    of it on illegal arms, or a NaN on a legal one). Every row needs one
+    legal arm.
+
+    Each row gets the float operations of a row alone, so a block gives
+    the bits of its rows one at a time: normalize a player's rows at its
+    own width, since zeros padded before the sum can regroup it.
+    """
+    w = np.where(masks, np.maximum(weights, 0.0), 0.0)
+    total = np.add.reduce(w, axis=-1, keepdims=True)
+    live = total > 0.0
+    if live.all():
+        w /= total
+        return w
+    out = masks / np.add.reduce(masks, axis=-1, keepdims=True)
+    np.divide(w, total, out=out, where=live)
+    return out
+
+
 def legal_policy(weights, legal) -> np.ndarray:
     """``weights`` restricted to the ``legal`` arms, clipped at zero and
-    normalized; uniform over the legal arms when none has mass."""
+    normalized; uniform over the legal arms when none has mass. It is
+    the one-row case of :func:`legal_rows`."""
     w = np.asarray(weights, dtype=float)
     mask = np.zeros(len(w), dtype=bool)
     mask[list(legal)] = True
-    w = np.where(mask, np.maximum(w, 0.0), 0.0)
-    total = w.sum()
-    return w / total if total > 0.0 else mask / mask.sum()
+    return legal_rows(w, mask)
 
 
 def cdf_rows(weights) -> np.ndarray:

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import cdf_rows, draw_rows, legal_policy, sample_index
+from .bandit import (cdf_rows, draw_rows, legal_policy, legal_rows,
+                     sample_index)
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
                    generate_tree, replay_sample)
 from .games import game_from_id
-from .games.base import Game, GameState
+from .games.base import Game, GameState, legal_masks
 from .trainer import (TrainConfig, TrainedAgent, fill_shared,
                       frontier_values, gated_training, grounding_layer,
                       new_policy_models, share_mode_for, value_players)
@@ -81,13 +82,14 @@ class SmctsSource:
     def __init__(self, agent: "SmctsAgent"):
         self.agent = agent
 
-    def predict(self, game: Game, states: list) -> list:
-        """``(value, per-player weights)`` of each non-terminal state,
-        from one stacked policy pass and one stacked value pass."""
+    def predict(self, game: Game, states: list) -> tuple:
+        """Values ``(k, N)`` and per-player weights ``(k, N, A_max)`` of
+        the non-terminal ``states``, from one stacked policy pass and one
+        stacked value pass."""
         obs = [[game.observe(s, p) for p in range(game.num_players)]
                for s in states]
-        return list(zip(self.agent.observed_value(obs),
-                        self.agent.policies(states, obs)))
+        return (self.agent.observed_value(obs),
+                self.agent.policies(states, obs))
 
 
 @dataclass
@@ -178,7 +180,8 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     """Per-move search; returns (root value estimate, per-player policies).
 
     Each node's weights are restricted to the legal actions and
-    normalized once, and kept as per-player CDF rows. Each simulation
+    normalized once, the rows of the players of one action count as one
+    block at that count, and kept as per-player CDF rows. Each simulation
     descends from the root drawing one joint action per step with
     :func:`bandit.draw_rows` from ``rng.random((N, 1))``, the same
     doubles as N scalar draws in player order; it expands one new edge
@@ -199,7 +202,13 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     if simulations < 1:
         raise ValueError("need at least one simulation")
     n = game.num_players
-    a_max = max(game.spec.action_counts)
+    counts = game.spec.action_counts
+    # the players of each action count, normalized as one block at that
+    # count; a slice when every player has it
+    widths = [(a, [p for p, c in enumerate(counts) if c == a])
+              for a in sorted(set(counts))]
+    if len(widths) == 1:
+        widths = [(counts[0], slice(None))]
     pending = []
 
     def make_node(s):
@@ -211,15 +220,15 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         return node
 
     def flush():
-        predictions = source.predict(game, [node.state for node in pending])
-        rows = np.zeros((len(pending), n, a_max))
-        for i, (node, (value, weights)) in enumerate(zip(pending,
-                                                         predictions)):
-            node.value = np.asarray(value, dtype=float)
-            for p, w in enumerate(weights):
-                rows[i, p, :len(w)] = legal_policy(
-                    w, game.legal_actions(node.state, p))
-        for node, cdf in zip(pending, cdf_rows(rows)):
+        states = [node.state for node in pending]
+        values, weights = source.predict(game, states)
+        masks = legal_masks(game, states)
+        rows = np.zeros(masks.shape)
+        for a, players in widths:
+            rows[:, players, :a] = legal_rows(weights[:, players, :a],
+                                              masks[:, players, :a])
+        for node, value, cdf in zip(pending, values, cdf_rows(rows)):
+            node.value = value
             node.cdf = cdf
         pending.clear()
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import legal_policy, sample_index
-from .games.base import Game, GameState
+from .bandit import legal_rows, sample_index
+from .games.base import Game, GameState, legal_masks
 from .harness import write_atomic
 
 
@@ -50,20 +50,14 @@ class UniformPolicySource:
     the legal actions and midscale value guesses.
 
     Every prediction source has this protocol: ``predict(game, states)``
-    takes a list of non-terminal states and returns one ``(value,
-    per-player weights)`` pair per state.
+    takes a list of k non-terminal states and returns per-player values
+    ``(k, N)`` and per-player weights ``(k, N, A_max)``, zero past each
+    player's action count.
     """
 
-    def predict(self, game: Game, states: list) -> list:
-        out = []
-        for state in states:
-            weights = []
-            for p in range(game.num_players):
-                w = np.zeros(game.spec.action_counts[p])
-                w[list(game.legal_actions(state, p))] = 1.0
-                weights.append(w)
-            out.append((np.full(game.num_players, 0.5), weights))
-        return out
+    def predict(self, game: Game, states: list) -> tuple:
+        return (np.full((len(states), game.num_players), 0.5),
+                legal_masks(game, states).astype(float))
 
 
 def _node_for(tree: GameTree, state: GameState, source) -> tuple:
@@ -82,10 +76,11 @@ def _node_for(tree: GameTree, state: GameState, source) -> tuple:
         value = game.terminal_returns(state)
         weights = None
     else:
-        [(value, weights)] = source.predict(game, [state])
-        value = np.asarray(value, dtype=float)
-        weights = [legal_policy(w, game.legal_actions(state, p))
-                   for p, w in enumerate(weights)]
+        values, weights = source.predict(game, [state])
+        masks = legal_masks(game, [state])
+        value = values[0]
+        weights = [legal_rows(w[:a], m[:a]) for w, m, a in
+                   zip(weights[0], masks[0], game.spec.action_counts)]
     node = TreeNode(state=state, value=value, weights=weights)
     layer[key] = node
     return node, True

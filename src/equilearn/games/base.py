@@ -147,3 +147,18 @@ class Game(abc.ABC):
         for p, a in enumerate(joint):
             if a not in self.legal_actions(state, p):
                 raise IllegalActionError(p, a, state)
+
+
+def legal_masks(game, states) -> np.ndarray:
+    """``(k, N, A_max)`` boolean masks of each of ``states``' legal
+    actions, ``masks[i, p, a]`` true when player ``p`` may play ``a`` in
+    ``states[i]``; false past each player's action count. Reads only
+    ``game.legal_actions``, ``game.num_players`` and
+    ``game.spec.action_counts``."""
+    n = game.num_players
+    a_max = max(game.spec.action_counts)
+    legal = [game.legal_actions(s, p) for s in states for p in range(n)]
+    masks = np.zeros((len(states), n, a_max), dtype=bool)
+    masks.reshape(-1)[[row * a_max + a for row, arms in enumerate(legal)
+                       for a in arms]] = True
+    return masks

@@ -21,14 +21,14 @@ import numpy as np
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
                      fit_tabular, joint_actions, stack_by_shape)
-from .bandit import legal_policy, sample_index
+from .bandit import legal_policy, legal_rows, sample_index
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
 from .config import Config
 from .data import (GameTree, UniformPolicySource, build_q_dataset,
                    generate_tree, select_tree_by_cv, upsample_values)
 from .games import game_from_id
-from .games.base import Game, GameState
+from .games.base import Game, GameState, legal_masks
 
 log = logging.getLogger("equilearn.trainer")
 
@@ -223,17 +223,6 @@ class LayerResult:
     max_epsilon: float
 
 
-def _legal_masks(game: Game, states) -> np.ndarray:
-    """(B, N, A_max) masks of each state's legal actions."""
-    counts = game.spec.action_counts
-    masks = np.zeros((len(states), game.num_players, max(counts)),
-                     dtype=bool)
-    for b, state in enumerate(states):
-        for p in range(game.num_players):
-            masks[b, p, list(game.legal_actions(state, p))] = True
-    return masks
-
-
 def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
                   tc: TrainConfig, iteration: int, rng: np.random.Generator
                   ) -> LayerResult:
@@ -255,7 +244,7 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     counts = game.spec.action_counts
     n = game.num_players
     states = [node.state for node in nodes]
-    legal = _legal_masks(game, states)
+    legal = legal_masks(game, states)
     values = source.joint_values(game, states)       # (B, J, N)
     tensors = np.clip(1.0 - values.reshape((len(nodes), *counts, n)),
                       0.0, 1.0)
@@ -305,18 +294,21 @@ class TrainedAgent:
     def _policy_stacks(self) -> list:
         return stack_by_shape([m.net for m in self.policy_models])
 
-    def policies(self, states: list, obs: list) -> list:
+    def policies(self, states: list, obs: list) -> np.ndarray:
         """Every player's ``policy(state, p)`` for each of ``states``, the
-        same bits, from one stacked pass per policy-network shape;
-        ``obs[i][p]`` is player ``p``'s observation of ``states[i]``.
-        Returns one list of per-player rows per state."""
-        rows = [[None] * self.game.num_players for _ in states]
+        same bits, from one stacked pass and one :func:`legal_rows` call
+        per policy-network shape; ``obs[i][p]`` is player ``p``'s
+        observation of ``states[i]``. Returns ``(k, N, A_max)`` rows,
+        zero past each player's action count."""
+        masks = legal_masks(self.game, states)
+        rows = np.zeros(masks.shape)
         for players, stack in self._policy_stacks:
             out = stack.forward([[o[p] for o in obs] for p in players])
-            for m, p in enumerate(players):
-                for i, state in enumerate(states):
-                    rows[i][p] = legal_policy(
-                        out[m, i], self.game.legal_actions(state, p))
+            a = out.shape[-1]
+            # a slice, not a copy, when one stack holds every player
+            ix = players if len(players) < masks.shape[1] else slice(None)
+            rows[:, ix, :a] = legal_rows(out.transpose(1, 0, 2),
+                                         masks[:, ix, :a])
         return rows
 
     def act(self, game: Game, state: GameState, player: int,
@@ -332,27 +324,31 @@ class AgentPolicySource:
     def __init__(self, agent: TrainedAgent):
         self.agent = agent
 
-    def predict(self, game: Game, states: list) -> list:
-        """``(value, per-player weights)`` of each non-terminal state.
+    def predict(self, game: Game, states: list) -> tuple:
+        """Values ``(k, N)`` and per-player weights ``(k, N, A_max)`` of
+        the non-terminal ``states``; weights are zero past each player's
+        action count.
 
         Joint values are evaluated one state at a time: the bits of
         ``joint_values`` depend on how many rows its products take.
         """
         n = game.num_players
+        counts = game.spec.action_counts
         obs = [[game.observe(s, p) for p in range(n)] for s in states]
-        out = []
-        for state, weights in zip(states, self.agent.policies(states, obs)):
-            value = np.full(n, 0.5)
+        weights = self.agent.policies(states, obs)
+        values = np.full((len(states), n), 0.5)
+        for i, state in enumerate(states):
             source = self.agent.value_models.get(state.timestep)
-            if source is not None:
-                vals = source.joint_values(game, [state])[0]   # (J, N)
-                # joint probabilities in the C order of joint_actions
-                probs = functools.reduce(np.multiply.outer, weights).ravel()
-                total = probs.sum()
-                if total > 0:
-                    value = (vals * (probs / total)[:, None]).sum(axis=0)
-            out.append((value, weights))
-        return out
+            if source is None:
+                continue
+            vals = source.joint_values(game, [state])[0]       # (J, N)
+            # joint probabilities in the C order of joint_actions
+            probs = functools.reduce(np.multiply.outer, [
+                w[:a] for w, a in zip(weights[i], counts)]).ravel()
+            total = probs.sum()
+            if total > 0:
+                values[i] = (vals * (probs / total)[:, None]).sum(axis=0)
+        return values, weights
 
 
 def deepest_layer(tree: GameTree) -> int:

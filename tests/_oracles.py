@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilearn.bandit import default_schedule, legal_policy, sample_index
+from equilearn.bandit import default_schedule, sample_index
 from equilearn.cce import ma_exp_ix_batch, normalize_losses
 from equilearn.trainer import fill_shared, value_players
 
@@ -178,26 +178,65 @@ def loop_prune_dominated(loss_tensor, legal):
     return mask
 
 
+def legal_policy(weights, legal):
+    """``weights`` restricted to the ``legal`` arms, clipped at zero and
+    normalized; uniform over the legal arms when none has mass.
+
+    ``bandit.legal_policy`` as it was before the row-block rule, one row
+    at a time: ``bandit.legal_rows`` must match it byte for byte."""
+    w = np.asarray(weights, dtype=float)
+    mask = np.zeros(len(w), dtype=bool)
+    mask[list(legal)] = True
+    w = np.where(mask, np.maximum(w, 0.0), 0.0)
+    total = w.sum()
+    return w / total if total > 0.0 else mask / mask.sum()
+
+
+def _softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def infer(weights, biases, x, head_kind):
+    """``approx.mlp.infer`` (with its softmax) as it was before the
+    in-place pass, each step into a new array: the in-place pass must
+    match it byte for byte."""
+    h = x
+    last = len(weights) - 1
+    for li, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if li < last:
+            h = np.maximum(h, 0.0)
+    return h if head_kind == "linear" else _softmax(h)
+
+
 class PerPlayerSmctsSource:
     """The search baseline's node predictions one state and one player at
     a time: a single-row forward per player through each policy and value
-    network. ``predict`` and ``state_value`` are ``SmctsSource.predict``
-    and ``SmctsAgent.state_value`` as they were before the stacked pass,
-    verbatim but for the receiver and the list protocol; the stacked
-    pass must match them byte for byte.
+    network, each policy row normalized by :func:`legal_policy`.
+    ``predict`` and ``state_value`` are ``SmctsSource.predict`` and
+    ``SmctsAgent.state_value`` as they were before the stacked pass,
+    verbatim but for the receiver and the block protocol (values ``(k,
+    N)``, weights ``(k, N, A_max)`` zero past each player's action
+    count); the stacked pass must match them byte for byte.
     """
 
     def __init__(self, agent):
         self.agent = agent
 
     def predict(self, game, states):
-        out = []
-        for state in states:
-            weights = [self.agent.policy(state, p)
-                       for p in range(game.num_players)]
-            value = self.state_value(state)
-            out.append((value, weights))
-        return out
+        n = game.num_players
+        values = np.empty((len(states), n))
+        weights = np.zeros((len(states), n, max(game.spec.action_counts)))
+        for i, state in enumerate(states):
+            for p in range(n):
+                obs = game.observe(state, p)
+                w = legal_policy(self.agent.policy_models[p].predict(obs)[0],
+                                 game.legal_actions(state, p))
+                weights[i, p, :len(w)] = w
+            values[i] = self.state_value(state)
+        return values, weights
 
     def state_value(self, state):
         agent = self.agent
@@ -236,9 +275,11 @@ def sequential_smcts_search(game, state, source, simulations, rng):
     """The search baseline as it was before batched leaf evaluation: each
     new node is predicted when it is made, one state per call, and each
     simulation backs up before the next descends. Verbatim but for the
-    list-protocol adapter (one state per ``source.predict`` call) and
-    the sampler, :func:`searchsorted_index`; the batched search must match
-    its root value, root policies and generator stream byte for byte.
+    block-protocol adapter (one state per ``source.predict`` call, its
+    row 0 taken and each player's weights cut to its action count), the
+    sampler, :func:`searchsorted_index`, and the row rule, this module's
+    :func:`legal_policy`; the batched search must match its root value,
+    root policies and generator stream byte for byte.
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
@@ -247,10 +288,10 @@ def sequential_smcts_search(game, state, source, simulations, rng):
         if s.terminal:
             return _SearchNode(state=s, value=_sigmoid(
                 game.terminal_returns(s)), weights=None)
-        [(value, weights)] = source.predict(game, [s])
-        weights = [legal_policy(w, game.legal_actions(s, p))
-                   for p, w in enumerate(weights)]
-        return _SearchNode(state=s, value=np.asarray(value, dtype=float),
+        values, weights = source.predict(game, [s])
+        weights = [legal_policy(w[:a], game.legal_actions(s, p)) for p, (w, a)
+                   in enumerate(zip(weights[0], game.spec.action_counts))]
+        return _SearchNode(state=s, value=np.asarray(values[0], dtype=float),
                            weights=weights)
 
     root = make_node(state)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from _oracles import infer as out_of_place_infer
 from hypothesis import strategies as st
 
 from equilearn.approx.checkpoint import (CheckpointMeta, load_checkpoint,
@@ -14,7 +15,7 @@ from equilearn.approx.checkpoint import (CheckpointMeta, load_checkpoint,
                                          save_model)
 from equilearn.approx.codec import (SupportCodec, scalar_to_support,
                                     support_to_scalar)
-from equilearn.approx.mlp import MlpModel, _softmax
+from equilearn.approx.mlp import MlpModel, _softmax, infer
 from equilearn.approx.models import (ComposedModel, ModelStack, PolicyModel,
                                      QValueModel, ValueModel, encode_joint,
                                      joint_actions, stack_by_shape)
@@ -126,6 +127,29 @@ def test_inference_pass_matches_training_forward(head_kind):
     logits, _ = model._forward_cache(x, False, None)
     want = logits if head_kind == "linear" else _softmax(logits)
     assert model.forward(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("head_kind", ["support", "policy", "linear"])
+def test_inference_pass_matches_out_of_place_pass(head_kind):
+    """The in-place pass gives the bits of the frozen out-of-place pass,
+    on one network and on a stack ``(M, k, 1, d)``, and leaves its input
+    as it was."""
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        dims = rng.integers(1, 12, size=int(rng.integers(2, 5)))
+        stacked = case % 2 == 1
+        lead = (3, 1) if stacked else ()
+        weights = [rng.normal(size=(*lead, d_in, d_out))
+                   for d_in, d_out in zip(dims, dims[1:])]
+        biases = [rng.normal(size=(*lead, 1, d_out) if stacked else d_out)
+                  for d_out in dims[1:]]
+        x = rng.normal(size=(3, int(rng.integers(1, 9)), 1, dims[0])
+                       if stacked else (int(rng.integers(1, 9)), dims[0]))
+        before = x.copy()
+        got = infer(weights, biases, x, head_kind)
+        assert got.tobytes() == out_of_place_infer(weights, biases, x,
+                                                   head_kind).tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 def test_model_stack_groups_by_shape_and_keeps_bits():

@@ -2,17 +2,19 @@
 action sampler."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import legal_policy as frozen_legal_policy
 from hypothesis.extra import numpy as hnp
 
 from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
-                              ix_policies, ix_update_rows, regret,
-                              run_exp_ix, sample_index)
+                              ix_policies, ix_update_rows, legal_policy,
+                              legal_rows, regret, run_exp_ix, sample_index)
 from equilearn.baseline import SmctsAgent, smcts_search
 from equilearn.cce import ma_exp_ix_batch
 from equilearn.data import _node_for, _sample_action
@@ -159,6 +161,63 @@ def test_sample_index_never_returns_zero_weight(w, u):
     assert 0 <= i < len(w) and w[i] > 0.0
 
 
+def _weight_block(rng, rows, width):
+    """Weight rows mixing negative, zero and tiny (about 1e-300)
+    entries, a NaN in about one row in five, with boolean masks of at
+    least one legal arm per row; about one row in four puts all its mass
+    on illegal arms."""
+    values = np.array([-1.0, 0.0, 0.0, 1e-300, 0.3, 2.0, 7.0])
+    weights = rng.choice(values, size=(rows, width))
+    weights *= rng.uniform(0.5, 2.0, size=(rows, width))
+    nan_rows = np.flatnonzero(rng.random(rows) < 0.2)
+    weights[nan_rows, rng.integers(0, width, len(nan_rows))] = np.nan
+    masks = rng.random((rows, width)) < 0.6
+    masks[np.arange(rows), rng.integers(0, width, rows)] = True
+    illegal_mass = rng.random(rows) < 0.25
+    weights[illegal_mass] = np.where(masks[illegal_mass], 0.0, 5.0)
+    return weights, masks
+
+
+@pytest.mark.parametrize("width", range(1, 34))
+def test_legal_rows_match_the_row_rule(width):
+    """A block normalizes each row to the bits of the frozen one-row rule:
+    a block of many rows, a stacked ``(M, k, A)`` block, its transposed
+    view, one player's strided rows of a wider padded block, and single
+    rows; no call warns, though some rows have no mass. Blocks whose
+    every row has mass are checked too."""
+    rng = np.random.default_rng(width)
+    weights, masks = _weight_block(rng, 60, width)
+    want = np.stack([frozen_legal_policy(w, np.flatnonzero(m))
+                     for w, m in zip(weights, masks)])
+    padded = np.zeros((60, 3, width + 3))
+    padded[:, 1, :width] = weights
+    has_mass = np.where(masks, weights, 0.0).clip(0.0).sum(-1) > 0.0
+    assert has_mass.any() and not has_mass.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {
+            "block": legal_rows(weights, masks),
+            "stacked": legal_rows(weights.reshape(3, 20, width),
+                                  masks.reshape(3, 20, width)),
+            "transposed": legal_rows(
+                weights.reshape(20, 3, width).transpose(1, 0, 2),
+                masks.reshape(20, 3, width).transpose(1, 0, 2)
+            ).transpose(1, 0, 2),
+            "strided": legal_rows(padded[:, 1, :width], masks),
+            "rows": np.stack([legal_rows(w, m)
+                              for w, m in zip(weights, masks)]),
+            "one-row": np.stack([legal_policy(w, np.flatnonzero(m))
+                                 for w, m in zip(weights, masks)]),
+            "with-mass": legal_rows(weights[has_mass], masks[has_mass]),
+        }
+    for name, block in got.items():
+        expected = want[has_mass] if name == "with-mass" else want
+        assert block.tobytes() == expected.tobytes(), name
+    block = got["block"]
+    assert np.all(block[~masks] == 0.0)
+    np.testing.assert_allclose(block.sum(axis=-1), 1.0)
+
+
 class _FixedPolicy:
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
@@ -191,13 +250,22 @@ DRAW_SITES = {
 
 def _row_source(row):
     """A source that predicts ``row`` as player 0's weights."""
-    return SimpleNamespace(predict=lambda game, states: [
-        (np.zeros(1), [np.array(row)]) for _ in states])
+    return SimpleNamespace(predict=lambda game, states: (
+        np.zeros((len(states), 1)),
+        np.tile(np.asarray(row, dtype=float), (len(states), 1, 1))))
+
+
+def _one_player(game, row, **methods):
+    """A one-player game over ``len(row)`` actions with ``game``'s legal
+    actions and the given further ``methods``."""
+    return SimpleNamespace(
+        num_players=1, spec=SimpleNamespace(action_counts=(len(row),)),
+        legal_actions=game.legal_actions, **methods)
 
 
 def _rollout_node(game, row):
     """A rollout node built as tree generation builds it."""
-    tree = SimpleNamespace(game=game, layers=[{}])
+    tree = SimpleNamespace(game=_one_player(game, row), layers=[{}])
     state = SimpleNamespace(timestep=0, terminal=False, key=lambda: "s")
     node, created = _node_for(tree, state, _row_source(row))
     assert created
@@ -213,10 +281,8 @@ def _search_draw(game, row, rng):
         joints.append(joint)
         return SimpleNamespace(next_state=SimpleNamespace(terminal=True))
 
-    game = SimpleNamespace(
-        num_players=1, spec=SimpleNamespace(action_counts=(len(row),)),
-        legal_actions=game.legal_actions, step=step,
-        terminal_returns=lambda state: np.zeros(1))
+    game = _one_player(game, row, step=step,
+                       terminal_returns=lambda state: np.zeros(1))
     smcts_search(game, SimpleNamespace(terminal=False), _row_source(row), 1,
                  rng)
     [(action,)] = joints

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from _oracles import PerPlayerSmctsSource, sequential_smcts_search
+from _oracles import (PerPlayerSmctsSource, legal_policy,
+                      sequential_smcts_search)
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
+from equilearn.bandit import cdf_rows
 from equilearn.baseline import (SmctsAgent, SmctsSource, backup_tree_values,
                                 smcts_search, smcts_train, tree_to_replay,
                                 visit_policy)
@@ -15,6 +17,7 @@ from equilearn.config import Config
 from equilearn.data import (GameTree, ReplayBuffer, TreeNode,
                             UniformPolicySource, generate_tree)
 from equilearn.games import game_from_id
+from equilearn.games.base import legal_masks
 from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
@@ -97,11 +100,24 @@ def _skewed_game():
     return MatrixGame(payoffs, name="skewed")
 
 
+def _block(game, states, fill, value=0.5):
+    """Values and weights in the source protocol: every value is
+    ``value``, and ``fill(state, p, w)`` sets player ``p``'s weights
+    ``w`` (its action count wide) of ``state``; the weights are zero
+    past each player's action count."""
+    counts = game.spec.action_counts
+    weights = np.zeros((len(states), game.num_players, max(counts)))
+    for i, state in enumerate(states):
+        for p, k in enumerate(counts):
+            fill(state, p, weights[i, p, :k])
+    return np.full((len(states), game.num_players), value), weights
+
+
 class _UniformSource:
     def predict(self, game, states):
-        return [(np.full(game.num_players, 0.5),
-                 [np.ones(a) for a in game.spec.action_counts])
-                for _ in states]
+        def ones(state, p, w):
+            w[:] = 1.0
+        return _block(game, states, ones)
 
 
 def test_smcts_search_uniform_weights_give_uniform_policy():
@@ -254,15 +270,10 @@ class _IllegalMassSource:
     each card still in hand."""
 
     def predict(self, game, states):
-        out = []
-        for state in states:
-            weights = []
-            for p, k in enumerate(game.spec.action_counts):
-                w = np.full(k, 50.0)
-                w[list(game.legal_actions(state, p))] = 1.0
-                weights.append(w)
-            out.append((np.full(game.num_players, 0.5), weights))
-        return out
+        def illegal_mass(state, p, w):
+            w[:] = 50.0
+            w[list(game.legal_actions(state, p))] = 1.0
+        return _block(game, states, illegal_mass)
 
 
 def test_smcts_search_draws_stay_legal():
@@ -289,9 +300,49 @@ def _two_by_three(tmp_path):
     return game_from_id(f"matrix:{path}")
 
 
+def _nine_by_seventeen(tmp_path):
+    """A one-shot game whose players have 9 and 17 actions. numpy sums a
+    row of 16 or more entries in 8 partial sums over two blocks of 8, so
+    padding the first player's rows to 17 before normalizing would add
+    its ninth weight into the first partial sum and move bits."""
+    path = tmp_path / "nine_by_seventeen.txt"
+    rows = [f"{(7 * i + 3 * j) % 5} {(2 * i + 5 * j) % 4}"
+            for i in range(9) for j in range(17)]
+    path.write_text("2 9 17\n" + "\n".join(rows) + "\n")
+    return game_from_id(f"matrix:{path}")
+
+
 def _game(tmp_path, game_id):
-    return (_two_by_three(tmp_path) if game_id == "two-by-three"
-            else game_from_id(game_id))
+    if game_id == "two-by-three":
+        return _two_by_three(tmp_path)
+    if game_id == "nine-by-seventeen":
+        return _nine_by_seventeen(tmp_path)
+    return game_from_id(game_id)
+
+
+@pytest.mark.parametrize("game_id", ["goofspiel:4", "pursuit",
+                                     "two-by-three", "nine-by-seventeen"])
+def test_legal_masks_match_legal_actions(tmp_path, game_id):
+    """One mask block for a batch of states marks exactly each state's
+    legal actions per player, and nothing past a player's action count
+    (two-by-three's first player has 2 actions of 3)."""
+    game = _game(tmp_path, game_id)
+    tree = generate_tree(game, UniformPolicySource(), 200,
+                         rng=np.random.default_rng(0))
+    states = [node.state for layer in tree.layers for node in layer.values()
+              if not node.state.terminal]
+    masks = legal_masks(game, states)
+    counts = game.spec.action_counts
+    assert masks.shape == (len(states), game.num_players, max(counts))
+    legal_sets = set()
+    for state, mask in zip(states, masks):
+        for p in range(game.num_players):
+            legal = tuple(game.legal_actions(state, p))
+            legal_sets.add(legal)
+            assert np.flatnonzero(mask[p]).tolist() == sorted(legal)
+            assert not mask[p, counts[p]:].any()
+    if game_id == "goofspiel:4":
+        assert len(legal_sets) > 4
 
 
 @pytest.mark.parametrize("game_id, share, stacks", [
@@ -316,14 +367,13 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
     while start < len(states):
         batch = states[start:start + next(sizes)]
         start += len(batch)
-        got = stacked.predict(game, batch)
-        assert len(got) == len(batch)
-        for (value, weights), (want_value, want_weights) in zip(
-                got, oracle.predict(game, batch)):
-            assert value.tobytes() == want_value.tobytes()
-            assert len(weights) == game.num_players
-            for w, want in zip(weights, want_weights):
-                assert w.tobytes() == want.tobytes()
+        values, weights = stacked.predict(game, batch)
+        want_values, want_weights = oracle.predict(game, batch)
+        assert values.shape == (len(batch), game.num_players)
+        assert weights.shape == (len(batch), game.num_players,
+                                 max(game.spec.action_counts))
+        assert values.tobytes() == want_values.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
     assert len(agent._policy_stacks) == stacks
     assert len(agent._value_stacks) == 1
 
@@ -344,15 +394,10 @@ class _ZeroLegalSource:
     to uniform play over its legal actions."""
 
     def predict(self, game, states):
-        out = []
-        for state in states:
-            weights = []
-            for p, k in enumerate(game.spec.action_counts):
-                w = np.full(k, 3.0)
-                w[list(game.legal_actions(state, p))] = 0.0
-                weights.append(w)
-            out.append((np.full(game.num_players, 0.25), weights))
-        return out
+        def zero_legal(state, p, w):
+            w[:] = 3.0
+            w[list(game.legal_actions(state, p))] = 0.0
+        return _block(game, states, zero_legal, value=0.25)
 
 
 SEARCH_SOURCES = {
@@ -383,7 +428,7 @@ def _search_states(game, walks=3, seed=0):
 @pytest.mark.parametrize("simulations", [1, 25, 300])
 @pytest.mark.parametrize("source_name", sorted(SEARCH_SOURCES))
 @pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4",
-                                     "two-by-three"])
+                                     "two-by-three", "nine-by-seventeen"])
 def test_batched_search_matches_sequential_search(tmp_path, game_id,
                                                   source_name, simulations):
     """Deferred, batched leaf prediction gives the root value, root
@@ -403,6 +448,48 @@ def test_batched_search_matches_sequential_search(tmp_path, game_id,
         for p, want in zip(policies, want_policies):
             assert p.tobytes() == want.tobytes()
         assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4",
+                                     "two-by-three", "nine-by-seventeen"])
+def test_flush_normalizes_each_player_at_its_own_width(
+        monkeypatch, tmp_path, game_id):
+    """The CDF rows of every flush come from each player's predicted
+    weights, cut to its action count, normalized by the frozen one-row
+    rule and zero-padded. These are the bits the draws read; a whole
+    search seldom shows a last-bit change in them, since it rarely
+    moves a draw. The source's weights are uniform draws, so the rows
+    differ from node to node."""
+    game = _game(tmp_path, game_id)
+    counts = game.spec.action_counts
+    draws = np.random.default_rng(5)
+    predicted, normalized = [], []
+
+    class RandomWeights:
+        def predict(self, game, states):
+            weights = np.zeros((len(states), game.num_players, max(counts)))
+            for p, a in enumerate(counts):
+                weights[:, p, :a] = draws.random((len(states), a))
+            predicted.append((states, weights))
+            return np.full((len(states), game.num_players), 0.5), weights
+
+    def recording_cdf_rows(rows):
+        normalized.append(rows.copy())
+        return cdf_rows(rows)
+
+    monkeypatch.setattr(baseline, "cdf_rows", recording_cdf_rows)
+    states = _search_states(game, walks=2)
+    for i in range(40):
+        smcts_search(game, states[i % len(states)], RandomWeights(), 25,
+                     np.random.default_rng(i))
+    assert len(predicted) == len(normalized)
+    for (states, weights), rows in zip(predicted, normalized):
+        want = np.zeros(rows.shape)
+        for i, state in enumerate(states):
+            for p, a in enumerate(counts):
+                want[i, p, :a] = legal_policy(weights[i, p, :a],
+                                              game.legal_actions(state, p))
+        assert rows.tobytes() == want.tobytes()
 
 
 def test_search_predicts_pending_nodes_together():

@@ -105,7 +105,8 @@ def test_agent_policy_source_is_policy_weighted_joint_value_mean(
     joints = list(itertools.product(*(range(a) for a in counts)))
     assert len(joints) == int(np.prod(counts))
     for state in _walk(game, 3):
-        [(value, weights)] = AgentPolicySource(agent).predict(game, [state])
+        values, weights = AgentPolicySource(agent).predict(game, [state])
+        value, weights = values[0], weights[0]
         vals = source.joint_values(game, [state])[0]
         assert vals.shape == (len(joints), game.num_players)
         total = 0.0
@@ -117,9 +118,10 @@ def test_agent_policy_source_is_policy_weighted_joint_value_mean(
             total += w
             expected += w * vals[row]
         np.testing.assert_allclose(value, expected / total, rtol=1e-12)
-        for p in range(game.num_players):
-            np.testing.assert_array_equal(weights[p],
+        for p, a in enumerate(counts):
+            np.testing.assert_array_equal(weights[p, :a],
                                           agent.policy(state, p))
+            assert not weights[p, a:].any()
 
 
 def test_joint_values_rows_follow_product_order():
