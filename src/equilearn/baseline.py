@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import (cdf_rows, draw_rows, legal_policy, legal_rows,
+from .bandit import (cdf_rows, draw_rows, legal_policy, legal_rows_by_count,
                      sample_index)
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
@@ -203,12 +203,6 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         raise ValueError("need at least one simulation")
     n = game.num_players
     counts = game.spec.action_counts
-    # the players of each action count, normalized as one block at that
-    # count; a slice when every player has it
-    widths = [(a, [p for p, c in enumerate(counts) if c == a])
-              for a in sorted(set(counts))]
-    if len(widths) == 1:
-        widths = [(counts[0], slice(None))]
     pending = []
 
     def make_node(s):
@@ -222,11 +216,8 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     def flush():
         states = [node.state for node in pending]
         values, weights = source.predict(game, states)
-        masks = legal_masks(game, states)
-        rows = np.zeros(masks.shape)
-        for a, players in widths:
-            rows[:, players, :a] = legal_rows(weights[:, players, :a],
-                                              masks[:, players, :a])
+        rows = legal_rows_by_count(weights, legal_masks(game, states),
+                                   counts)
         for node, value, cdf in zip(pending, values, cdf_rows(rows)):
             node.value = value
             node.cdf = cdf

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import legal_rows, sample_index
+from .bandit import legal_rows_by_count, sample_index
 from .games.base import Game, GameState, legal_masks
 from .harness import write_atomic
 
@@ -77,10 +77,11 @@ def _node_for(tree: GameTree, state: GameState, source) -> tuple:
         weights = None
     else:
         values, weights = source.predict(game, [state])
-        masks = legal_masks(game, [state])
+        counts = game.spec.action_counts
+        rows = legal_rows_by_count(weights, legal_masks(game, [state]),
+                                   counts)
         value = values[0]
-        weights = [legal_rows(w[:a], m[:a]) for w, m, a in
-                   zip(weights[0], masks[0], game.spec.action_counts)]
+        weights = [w[:a] for w, a in zip(rows[0], counts)]
     node = TreeNode(state=state, value=value, weights=weights)
     layer[key] = node
     return node, True

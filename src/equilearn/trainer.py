@@ -21,7 +21,7 @@ import numpy as np
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
                      fit_tabular, joint_actions, stack_by_shape)
-from .bandit import legal_policy, legal_rows, sample_index
+from .bandit import legal_policy, legal_rows_by_count, sample_index
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
 from .config import Config
@@ -296,20 +296,17 @@ class TrainedAgent:
 
     def policies(self, states: list, obs: list) -> np.ndarray:
         """Every player's ``policy(state, p)`` for each of ``states``, the
-        same bits, from one stacked pass and one :func:`legal_rows` call
-        per policy-network shape; ``obs[i][p]`` is player ``p``'s
+        same bits, from one stacked pass per policy-network shape and one
+        :func:`legal_rows_by_count` call; ``obs[i][p]`` is player ``p``'s
         observation of ``states[i]``. Returns ``(k, N, A_max)`` rows,
         zero past each player's action count."""
         masks = legal_masks(self.game, states)
-        rows = np.zeros(masks.shape)
+        weights = np.zeros(masks.shape)
         for players, stack in self._policy_stacks:
             out = stack.forward([[o[p] for o in obs] for p in players])
-            a = out.shape[-1]
-            # a slice, not a copy, when one stack holds every player
-            ix = players if len(players) < masks.shape[1] else slice(None)
-            rows[:, ix, :a] = legal_rows(out.transpose(1, 0, 2),
-                                         masks[:, ix, :a])
-        return rows
+            weights[:, players, :out.shape[-1]] = out.transpose(1, 0, 2)
+        return legal_rows_by_count(weights, masks,
+                                   self.game.spec.action_counts)
 
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:

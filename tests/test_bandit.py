@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
                               ix_policies, ix_update_rows, legal_policy,
-                              legal_rows, regret, run_exp_ix, sample_index)
+                              legal_rows, legal_rows_by_count, regret,
+                              run_exp_ix, sample_index)
 from equilearn.baseline import SmctsAgent, smcts_search
 from equilearn.cce import ma_exp_ix_batch
 from equilearn.data import _node_for, _sample_action
@@ -216,6 +217,29 @@ def test_legal_rows_match_the_row_rule(width):
     block = got["block"]
     assert np.all(block[~masks] == 0.0)
     np.testing.assert_allclose(block.sum(axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 3), (2, 3), (9, 17),
+                                    (17, 1, 9, 17), (33, 16)])
+def test_legal_rows_by_count_match_the_row_rule(counts):
+    """Each player's rows come out as the frozen one-row rule on the row
+    cut to the player's action count, then zero-padded, whatever the
+    block holds past that count; no call warns."""
+    rng = np.random.default_rng(len(counts) * 100 + max(counts))
+    k, a_max = 40, max(counts)
+    weights = rng.uniform(-1.0, 5.0, size=(k, len(counts), a_max))
+    masks = np.zeros(weights.shape, dtype=bool)
+    for p, a in enumerate(counts):
+        weights[:, p, :a], masks[:, p, :a] = _weight_block(rng, k, a)
+    want = np.zeros(weights.shape)
+    for i in range(k):
+        for p, a in enumerate(counts):
+            want[i, p, :a] = frozen_legal_policy(
+                weights[i, p, :a], np.flatnonzero(masks[i, p, :a]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = legal_rows_by_count(weights, masks, counts)
+    assert got.tobytes() == want.tobytes()
 
 
 class _FixedPolicy:
