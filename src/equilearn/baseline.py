@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import (cdf_rows, draw_rows, legal_policy, legal_rows_by_count,
-                     sample_index)
+from .bandit import cdf_rows, draw_rows, legal_policy, sample_index
 from .config import Config
-from .data import (GameTree, ReplayBuffer, ReplayEntry, UniformPolicySource,
-                   generate_tree, replay_sample)
+from .data import (GameTree, ReplayBuffer, ReplayEntry, TreeNode,
+                   UniformPolicySource, generate_tree, replay_sample)
 from .games import game_from_id
-from .games.base import Game, GameState, legal_masks
+from .games.base import Game, GameState
 from .trainer import (TrainConfig, TrainedAgent, fill_shared,
                       frontier_values, gated_training, grounding_layer,
                       new_policy_models, share_mode_for, value_players)
@@ -83,9 +82,9 @@ class SmctsSource:
         self.agent = agent
 
     def predict(self, game: Game, states: list) -> tuple:
-        """Values ``(k, N)`` and per-player weights ``(k, N, A_max)`` of
-        the non-terminal ``states``, from one stacked policy pass and one
-        stacked value pass."""
+        """Values ``(k, N)`` and per-player legal policies ``(k, N,
+        A_max)`` of the non-terminal ``states``, from one stacked policy
+        pass and one stacked value pass."""
         obs = [[game.observe(s, p) for p in range(game.num_players)]
                for s in states]
         return (self.agent.observed_value(obs),
@@ -163,37 +162,24 @@ class SmctsAgent(TrainedAgent):
         return sample_index(last.policies[player], rng)
 
 
-@dataclass
-class _SearchNode:
-    state: GameState
-    value: np.ndarray | None        # None while the node is pending
-    cdf: np.ndarray | None          # (N, A_max) per-player CDF rows; None
-                                    # at a terminal or while pending
-    visits: int = 0
-
-    def __post_init__(self):
-        self.children: dict = {}
-
-
 def smcts_search(game: Game, state: GameState, source, simulations: int,
                  rng: np.random.Generator) -> tuple:
     """Per-move search; returns (root value estimate, per-player policies).
 
-    Each node's weights are restricted to the legal actions and
-    normalized once, the rows of the players of one action count as one
-    block at that count, and kept as per-player CDF rows. Each simulation
-    descends from the root drawing one joint action per step with
-    :func:`bandit.draw_rows` from ``rng.random((N, 1))``, the same
-    doubles as N scalar draws in player order; it expands one new edge
-    (or stops at a terminal), and backs the leaf value up the path as a
-    running mean. Terminal leaves ground the scale through a per-player
-    sigmoid of accumulated returns; interior leaves keep the source's
-    value estimate. Root policies are the marginal child-visit
-    distributions.
+    Search nodes are rollout-tree nodes (:class:`~equilearn.data.TreeNode`)
+    that start at zero visits; each keeps the source's legal policies as
+    per-player CDF rows. Each simulation descends from the root drawing
+    one joint action per step with :func:`bandit.draw_rows` from
+    ``rng.random((N, 1))``, the same doubles as N scalar draws in player
+    order; it expands one new edge (or stops at a terminal), and backs
+    the leaf value up the path as a running mean. Terminal leaves ground
+    the scale through a per-player sigmoid of accumulated returns;
+    interior leaves keep the source's value estimate. Root policies are
+    the marginal child-visit distributions (:func:`visit_policy`).
 
     A new non-terminal node is pending until a descent steps onto it or
     the last simulation ends; then every pending node is predicted in
-    one ``source.predict`` call. Descent reads only weights, so it makes
+    one ``source.predict`` call. Descent reads only CDF rows, so it makes
     the same draws as it would with each node predicted when it is
     made. The backups are replayed in simulation order after the last
     prediction, so every node takes the same float operations: a new
@@ -202,23 +188,20 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     if simulations < 1:
         raise ValueError("need at least one simulation")
     n = game.num_players
-    counts = game.spec.action_counts
     pending = []
 
     def make_node(s):
         if s.terminal:
-            return _SearchNode(state=s, value=_sigmoid(
-                game.terminal_returns(s)), cdf=None)
-        node = _SearchNode(state=s, value=None, cdf=None)
+            return TreeNode(state=s, value=_sigmoid(game.terminal_returns(s)),
+                            cdf=None, visit_count=0)
+        node = TreeNode(state=s, value=None, cdf=None, visit_count=0)
         pending.append(node)
         return node
 
     def flush():
-        states = [node.state for node in pending]
-        values, weights = source.predict(game, states)
-        rows = legal_rows_by_count(weights, legal_masks(game, states),
-                                   counts)
-        for node, value, cdf in zip(pending, values, cdf_rows(rows)):
+        values, policies = source.predict(game,
+                                          [node.state for node in pending])
+        for node, value, cdf in zip(pending, values, cdf_rows(policies)):
             node.value = value
             node.cdf = cdf
         pending.clear()
@@ -246,15 +229,10 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     for path in paths:
         leaf_value = path[-1].value
         for node in path:
-            node.visits += 1
-            node.value = node.value + (leaf_value - node.value) / node.visits
-    policies = []
-    for p in range(n):
-        counts = np.zeros(game.spec.action_counts[p])
-        for joint, child in root.children.items():
-            counts[joint[p]] += child.visits
-        policies.append(legal_policy(counts, game.legal_actions(state, p)))
-    return root.value, policies
+            node.visit_count += 1
+            node.value = (node.value
+                          + (leaf_value - node.value) / node.visit_count)
+    return root.value, [visit_policy(game, root, p) for p in range(n)]
 
 
 def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:

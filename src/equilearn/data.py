@@ -10,16 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandit import legal_rows_by_count, sample_index
+from .bandit import cdf_rows, draw_rows
 from .games.base import Game, GameState, legal_masks
 from .harness import write_atomic
 
 
 @dataclass
 class TreeNode:
+    """A state's node in a rollout tree or a search."""
     state: GameState
-    value: np.ndarray                    # per-player value estimate
-    weights: list | None                 # per-player legal policies
+    value: np.ndarray | None             # per-player value estimate; None
+                                         # while a search node is pending
+    cdf: np.ndarray | None               # (N, A_max) per-player CDF rows;
+                                         # None at a terminal or pending
     visit_count: int = 1
     children: dict = field(default_factory=dict)   # joint action -> TreeNode
 
@@ -46,25 +49,28 @@ class GameTree:
 
 
 class UniformPolicySource:
-    """Prediction source for the first iteration: uniform weights over
+    """Prediction source for the first iteration: uniform policies over
     the legal actions and midscale value guesses.
 
     Every prediction source has this protocol: ``predict(game, states)``
     takes a list of k non-terminal states and returns per-player values
-    ``(k, N)`` and per-player weights ``(k, N, A_max)``, zero past each
-    player's action count.
+    ``(k, N)`` and per-player legal policies ``(k, N, A_max)``: each row
+    normalized over its player's legal actions, zero on illegal ones and
+    past the player's action count. Rollouts and the search draw from
+    these rows as they are.
     """
 
     def predict(self, game: Game, states: list) -> tuple:
+        masks = legal_masks(game, states)
         return (np.full((len(states), game.num_players), 0.5),
-                legal_masks(game, states).astype(float))
+                masks / np.add.reduce(masks, axis=-1, keepdims=True))
 
 
 def _node_for(tree: GameTree, state: GameState, source) -> tuple:
     """Get or create the node for ``state``; returns (node, created).
 
-    A new node's weights are the source's, restricted to the legal
-    actions and normalized once, here.
+    A new non-terminal node keeps the source's legal policies as
+    per-player CDF rows.
     """
     layer = tree.layers[state.timestep]
     key = state.key()
@@ -73,16 +79,11 @@ def _node_for(tree: GameTree, state: GameState, source) -> tuple:
         return node, False
     game = tree.game
     if state.terminal:
-        value = game.terminal_returns(state)
-        weights = None
+        value, cdf = game.terminal_returns(state), None
     else:
-        values, weights = source.predict(game, [state])
-        counts = game.spec.action_counts
-        rows = legal_rows_by_count(weights, legal_masks(game, [state]),
-                                   counts)
-        value = values[0]
-        weights = [w[:a] for w, a in zip(rows[0], counts)]
-    node = TreeNode(state=state, value=value, weights=weights)
+        values, policies = source.predict(game, [state])
+        value, cdf = values[0], cdf_rows(policies[0])
+    node = TreeNode(state=state, value=value, cdf=cdf)
     layer[key] = node
     return node, True
 
@@ -91,18 +92,20 @@ def _sample_action(game, node, player, randomized, rng) -> int:
     if randomized:
         legal = game.legal_actions(node.state, player)
         return int(legal[rng.integers(len(legal))])
-    return sample_index(node.weights[player], rng)
+    return int(draw_rows(node.cdf[player], rng.random()))
 
 
 def generate_tree(game: Game, source, num_sims: int, randomize=None,
                   rng: np.random.Generator | None = None) -> GameTree:
     """Build a deduplicated game tree from ``num_sims`` rollouts.
 
-    Each simulation walks from a (possibly repeated) root, sampling
-    joint actions from per-node normalized weights, until it reaches a
-    leaf: a terminal node or a state not yet hanging off the current
-    node. Repeat states within a layer merge into one node; visit
-    counts increment along the walk.
+    Each simulation walks from a (possibly repeated) root, drawing each
+    on-policy player's action from its row of the node's CDF rows (the
+    ``source``'s legal policies, in the protocol of
+    :class:`UniformPolicySource`), until it reaches a leaf: a terminal
+    node or a state not yet hanging off the current node. Repeat states
+    within a layer merge into one node; visit counts increment along the
+    walk.
 
     ``randomize`` selects partially random rollouts: ``None`` keeps all
     players on-policy, a float flags each player independently with

@@ -314,17 +314,16 @@ class TrainedAgent:
 
 
 class AgentPolicySource:
-    """Tree-rollout predictions from a trained agent: policy-network
-    weights, and node values as the policy-weighted mean of the layer
-    value source's joint values."""
+    """Tree-rollout predictions from a trained agent: its legal
+    policies (:meth:`TrainedAgent.policies`), and node values as the
+    policy-weighted mean of the layer value source's joint values."""
 
     def __init__(self, agent: TrainedAgent):
         self.agent = agent
 
     def predict(self, game: Game, states: list) -> tuple:
-        """Values ``(k, N)`` and per-player weights ``(k, N, A_max)`` of
-        the non-terminal ``states``; weights are zero past each player's
-        action count.
+        """Values ``(k, N)`` and per-player legal policies ``(k, N,
+        A_max)`` of the non-terminal ``states``.
 
         Joint values are evaluated one state at a time: the bits of
         ``joint_values`` depend on how many rows its products take.
@@ -342,9 +341,7 @@ class AgentPolicySource:
             # joint probabilities in the C order of joint_actions
             probs = functools.reduce(np.multiply.outer, [
                 w[:a] for w, a in zip(weights[i], counts)]).ravel()
-            total = probs.sum()
-            if total > 0:
-                values[i] = (vals * (probs / total)[:, None]).sum(axis=0)
+            values[i] = (vals * (probs / probs.sum())[:, None]).sum(axis=0)
         return values, weights
 
 

@@ -250,10 +250,11 @@ class _FixedPolicy:
         return self.row[None]
 
 
-# (network output or node weights, legal actions, uniform draw): a draw
-# of exactly 0 with an illegal first arm, and the largest draw below 1
-# against a normalized 6-arm policy whose cumulative sum ends 2 ulps
-# short of 1, with the illegal seventh arm after it
+# (network output or a source's weights before the legal rule, legal
+# actions, uniform draw): a draw of exactly 0 with an illegal first arm,
+# and the largest draw below 1 against a normalized 6-arm policy whose
+# cumulative sum ends 2 ulps short of 1, with the illegal seventh arm
+# after it
 ZERO_WEIGHT_TRAPS = {
     "zero-draw": ([0.4, 0.3, 0.3], (1, 2), 0.0),
     "short-cumsum": ([0.69, 0.39, 0.14, 0.72, 0.53, 0.31, 0.5],
@@ -273,10 +274,12 @@ DRAW_SITES = {
 
 
 def _row_source(row):
-    """A source that predicts ``row`` as player 0's weights."""
+    """A source that predicts the frozen rule's legal policy of ``row``
+    as player 0's row, as the prediction protocol asks."""
     return SimpleNamespace(predict=lambda game, states: (
         np.zeros((len(states), 1)),
-        np.tile(np.asarray(row, dtype=float), (len(states), 1, 1))))
+        np.stack([frozen_legal_policy(row, game.legal_actions(s, 0))[None]
+                  for s in states])))
 
 
 def _one_player(game, row, **methods):

@@ -9,7 +9,6 @@ from _oracles import (PerPlayerSmctsSource, legal_policy,
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
-from equilearn.bandit import cdf_rows
 from equilearn.baseline import (SmctsAgent, SmctsSource, backup_tree_values,
                                 smcts_search, smcts_train, tree_to_replay,
                                 visit_policy)
@@ -22,7 +21,7 @@ from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
 from equilearn.harness import play_paired, run_match
-from equilearn.trainer import share_mode_for
+from equilearn.trainer import AgentPolicySource, TrainedAgent, share_mode_for
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -101,15 +100,18 @@ def _skewed_game():
 
 
 def _block(game, states, fill, value=0.5):
-    """Values and weights in the source protocol: every value is
+    """Values and legal policies in the source protocol: every value is
     ``value``, and ``fill(state, p, w)`` sets player ``p``'s weights
-    ``w`` (its action count wide) of ``state``; the weights are zero
-    past each player's action count."""
+    ``w`` (its action count wide) of ``state``, which the frozen one-row
+    rule then restricts to the legal actions and normalizes; the rows
+    are zero past each player's action count."""
     counts = game.spec.action_counts
     weights = np.zeros((len(states), game.num_players, max(counts)))
     for i, state in enumerate(states):
         for p, k in enumerate(counts):
             fill(state, p, weights[i, p, :k])
+            weights[i, p, :k] = legal_policy(weights[i, p, :k],
+                                             game.legal_actions(state, p))
     return np.full((len(states), game.num_players), value), weights
 
 
@@ -266,22 +268,34 @@ class _RecordingGoofspiel(GoofspielGame):
 
 
 class _IllegalMassSource:
-    """Weights with 50 times more mass on each played card than on
-    each card still in hand."""
+    """Legal policies of weights with 50 on each illegal action (each
+    played card) and 1, 2, 3, ... on the legal ones, so the rows are not
+    uniform."""
 
     def predict(self, game, states):
         def illegal_mass(state, p, w):
+            legal = list(game.legal_actions(state, p))
             w[:] = 50.0
-            w[list(game.legal_actions(state, p))] = 1.0
+            w[legal] = np.arange(1.0, len(legal) + 1.0)
         return _block(game, states, illegal_mass)
+
+
+def _illegal_mass_agent(game):
+    """A state after the players played cards 0 and 2, and an untrained
+    agent whose policy networks put mass on those played cards there."""
+    start = game.start_states()[0][0]
+    root = GoofspielGame.step(game, start, (0, 2)).next_state
+    agent = _small_agent(game, 0, "untrained")
+    for p, played in enumerate((0, 2)):
+        raw = agent.policy_models[p].predict(game.observe(root, p))[0]
+        assert raw[played] > 0.0
+    return root, agent
 
 
 def test_smcts_search_draws_stay_legal():
     game = _RecordingGoofspiel()
-    start = game.start_states()[0][0]
-    root = GoofspielGame.step(game, start, (0, 2)).next_state
-    _, policies = smcts_search(game, root, _IllegalMassSource(),
-                               simulations=300,
+    root, agent = _illegal_mass_agent(game)
+    _, policies = smcts_search(game, root, SmctsSource(agent), 300,
                                rng=np.random.default_rng(0))
     assert len(game.steps) > 20
     for state, joint in game.steps:
@@ -292,6 +306,18 @@ def test_smcts_search_draws_stay_legal():
         assert policy.sum() == pytest.approx(1.0)
         assert set(np.flatnonzero(policy)) <= set(
             game.legal_actions(root, p))
+
+
+def test_rollout_draws_stay_legal():
+    game = _RecordingGoofspiel()
+    root, agent = _illegal_mass_agent(game)
+    source = AgentPolicySource(TrainedAgent(game, agent.policy_models, {}))
+    game.sample_start = lambda rng: root
+    generate_tree(game, source, 300, rng=np.random.default_rng(0))
+    assert len(game.steps) > 20
+    for state, joint in game.steps:
+        for p, a in enumerate(joint):
+            assert a in game.legal_actions(state, p)
 
 
 def _two_by_three(tmp_path):
@@ -390,8 +416,8 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
 
 
 class _ZeroLegalSource:
-    """Weights with no mass on any legal action, so every node falls back
-    to uniform play over its legal actions."""
+    """Legal policies of weights with no mass on any legal action: the
+    frozen rule's uniform fallback over the legal actions."""
 
     def predict(self, game, states):
         def zero_legal(state, p, w):
@@ -450,46 +476,42 @@ def test_batched_search_matches_sequential_search(tmp_path, game_id,
         assert rngs[0].random() == rngs[1].random()
 
 
+@pytest.mark.parametrize("source_name", ["agent", "smcts", "uniform"])
 @pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4",
                                      "two-by-three", "nine-by-seventeen"])
-def test_flush_normalizes_each_player_at_its_own_width(
-        monkeypatch, tmp_path, game_id):
-    """The CDF rows of every flush come from each player's predicted
-    weights, cut to its action count, normalized by the frozen one-row
-    rule and zero-padded. These are the bits the draws read; a whole
-    search seldom shows a last-bit change in them, since it rarely
-    moves a draw. The source's weights are uniform draws, so the rows
-    differ from node to node."""
+def test_sources_return_legal_policies(tmp_path, game_id, source_name):
+    """Every prediction source returns each player's row as the frozen
+    one-row rule's legal policy of its raw weights (the policy network's
+    output, or ones for the uniform source) at the player's action
+    count, and zeros past it, for one state alone and for a batch: the
+    search and rollouts draw from these rows as they are."""
     game = _game(tmp_path, game_id)
     counts = game.spec.action_counts
-    draws = np.random.default_rng(5)
-    predicted, normalized = [], []
+    agent = _small_agent(game, 3, "protocol")
+    source = {"agent": AgentPolicySource(
+                  TrainedAgent(game, agent.policy_models, {})),
+              "smcts": SmctsSource(agent),
+              "uniform": UniformPolicySource()}[source_name]
 
-    class RandomWeights:
-        def predict(self, game, states):
-            weights = np.zeros((len(states), game.num_players, max(counts)))
+    def raw(state, p):
+        if source_name == "uniform":
+            return np.ones(counts[p])
+        return agent.policy_models[p].predict(game.observe(state, p))[0]
+
+    tree = generate_tree(game, UniformPolicySource(), 200,
+                         rng=np.random.default_rng(0))
+    states = [node.state for layer in tree.layers for node in layer.values()
+              if not node.state.terminal]
+    for batch in (states[:1], states):
+        values, rows = source.predict(game, batch)
+        assert values.shape == (len(batch), game.num_players)
+        assert rows.shape == (len(batch), game.num_players, max(counts))
+        for state, row in zip(batch, rows):
             for p, a in enumerate(counts):
-                weights[:, p, :a] = draws.random((len(states), a))
-            predicted.append((states, weights))
-            return np.full((len(states), game.num_players), 0.5), weights
-
-    def recording_cdf_rows(rows):
-        normalized.append(rows.copy())
-        return cdf_rows(rows)
-
-    monkeypatch.setattr(baseline, "cdf_rows", recording_cdf_rows)
-    states = _search_states(game, walks=2)
-    for i in range(40):
-        smcts_search(game, states[i % len(states)], RandomWeights(), 25,
-                     np.random.default_rng(i))
-    assert len(predicted) == len(normalized)
-    for (states, weights), rows in zip(predicted, normalized):
-        want = np.zeros(rows.shape)
-        for i, state in enumerate(states):
-            for p, a in enumerate(counts):
-                want[i, p, :a] = legal_policy(weights[i, p, :a],
-                                              game.legal_actions(state, p))
-        assert rows.tobytes() == want.tobytes()
+                want = legal_policy(raw(state, p),
+                                    game.legal_actions(state, p))
+                assert row[p, :a].tobytes() == want.tobytes()
+                assert not row[p, a:].any()
 
 
 def test_search_predicts_pending_nodes_together():

@@ -66,7 +66,7 @@ def test_select_tree_by_cv_prefers_spread():
         tree = GameTree(game)
         for i, v in enumerate(values):
             state = game.start_states()[0][0]
-            node = TreeNode(state=state, value=np.array([v, v]), weights=None)
+            node = TreeNode(state=state, value=np.array([v, v]), cdf=None)
             tree.layers[1][("fake", i)] = node
         return tree
 
