@@ -6,25 +6,15 @@ action) space is enumerable; lookup keys are (state key, joint action).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class TabularQ:
-    table: dict
-    default: float = 0.5
-
-    def lookup(self, state_key, joint) -> np.ndarray | float:
-        return self.table.get((state_key, tuple(joint)), self.default)
-
-
-def fit_tabular(records, default: float = 0.5) -> TabularQ:
+def fit_tabular(records) -> dict:
     """Average duplicate (state key, joint action) records.
 
     ``records`` is an iterable of (state_key, joint_action, value); the
-    value may be a scalar or a vector and is averaged per key.
+    value may be a scalar or a vector and is averaged per key. Returns
+    the table ``{(state_key, joint tuple): mean value}``.
     """
     sums: dict = {}
     counts: dict = {}
@@ -37,5 +27,4 @@ def fit_tabular(records, default: float = 0.5) -> TabularQ:
         else:
             sums[key] = value
             counts[key] = 1
-    table = {k: sums[k] / counts[k] for k in sums}
-    return TabularQ(table=table, default=default)
+    return {k: sums[k] / counts[k] for k in sums}

@@ -22,9 +22,10 @@ from .data import (GameTree, ReplayBuffer, ReplayEntry, TreeNode,
                    UniformPolicySource, generate_tree, replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState
-from .trainer import (TrainConfig, TrainedAgent, fill_shared,
-                      frontier_values, gated_training, grounding_layer,
-                      new_policy_models, share_mode_for, value_players)
+from .trainer import (TrainConfig, TrainedAgent, checked_share_mode,
+                      fill_shared, frontier_values, gated_training,
+                      grounding_layer, new_policy_models, share_mode_for,
+                      value_players)
 
 
 def _sigmoid(x):
@@ -112,12 +113,15 @@ class SmctsAgent(TrainedAgent):
     policy networks as a TrainedAgent does.
     """
 
-    def __init__(self, game: Game, value_models: dict, policy_models: list,
-                 share_mode: str, eval_simulations: int = 100,
+    def __init__(self, game: Game, state_value_models: dict,
+                 policy_models: list, eval_simulations: int = 100,
                  search_play: bool = True, name: str = "smcts"):
-        # value_models: player -> ValueModel over the state alone
-        super().__init__(game, policy_models, value_models, name=name)
-        self.share_mode = share_mode
+        self.share_mode = checked_share_mode(game, state_value_models)
+        if len({m.codec for m in state_value_models.values()}) > 1:
+            raise ValueError("an agent's value networks share one codec")
+        # player -> ValueModel over the state alone
+        self.state_value_models = state_value_models
+        super().__init__(game, policy_models, {}, name=name)
         self.eval_simulations = eval_simulations
         self.search_play = search_play
         self._last_search: _LastSearch | None = None
@@ -125,16 +129,9 @@ class SmctsAgent(TrainedAgent):
     @functools.cached_property
     def _value_stacks(self) -> list:
         players = value_players(self.share_mode, self.game.num_players)
-        models = [self.value_models[p] for p in players]
-        if len({m.codec for m in models}) > 1:
-            raise ValueError("an agent's value networks share one codec")
+        models = [self.state_value_models[p] for p in players]
         return [([players[i] for i in ix], stack, models[0].codec.centers)
                 for ix, stack in stack_by_shape([m.net for m in models])]
-
-    def state_value(self, state: GameState) -> np.ndarray:
-        obs = [self.game.observe(state, p)
-               for p in range(self.game.num_players)]
-        return self.observed_value([obs])[0]
 
     def observed_value(self, obs: list) -> np.ndarray:
         """Per-player values ``(k, N)`` of the states that player ``p``
@@ -242,8 +239,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
     if game is None:
         game = game_from_id(tc.game_id)
     rng = np.random.default_rng(tc.seed)
-    share = share_mode_for(game)
-    players = value_players(share, game.num_players)
+    players = value_players(share_mode_for(game), game.num_players)
     codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
 
     def make_candidate(it: int, accepted: SmctsAgent | None):
@@ -284,7 +280,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                 p_losses.append(policy_models[p].fit(obs, pols, 1,
                                                      tc.batch_size, rng))
 
-        candidate = SmctsAgent(game, value_models, policy_models, share,
+        candidate = SmctsAgent(game, value_models, policy_models,
                                eval_simulations=tc.eval_simulations,
                                search_play=tc.search_play)
         return candidate, [{

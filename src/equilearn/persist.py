@@ -17,8 +17,7 @@ from .approx import PolicyModel, QValueModel, ValueModel, load_model, \
 from .baseline import SmctsAgent
 from .games import game_from_id
 from .games.base import Game
-from .trainer import (MlpValueSource, TrainedAgent, share_mode_for,
-                      value_players)
+from .trainer import MlpValueSource, TrainedAgent
 
 
 def sanitize_game_id(game_id: str) -> str:
@@ -55,7 +54,7 @@ def save_trained_agent(agent: TrainedAgent, out_dir: str, game_id: str):
 
 def save_smcts_agent(agent: SmctsAgent, out_dir: str, game_id: str):
     tag = _save_policies(agent, out_dir, game_id)
-    for p, model in agent.value_models.items():
+    for p, model in agent.state_value_models.items():
         save_model(os.path.join(out_dir, f"{tag}_{p}_all.ccef"),
                    model, game=game_id, player=p)
 
@@ -66,8 +65,9 @@ def _load(directory: str, game: Game | None, value_cls):
     Returns ``(game, policies, values)``: the game (from the files'
     game id unless given), one policy network per player in player
     order, and the ``value_cls`` networks as ``{timestep: {player:
-    model}}``, each timestep's players checked against the game's
-    share mode.
+    model}}``. The value networks' players are not checked here: the
+    loaders build their agents through ``MlpValueSource`` and
+    ``SmctsAgent``, which check them against the game's share mode.
     """
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"not a checkpoint directory: {directory}")
@@ -91,13 +91,6 @@ def _load(directory: str, game: Game | None, value_cls):
     if sorted(policies) != list(range(n)):
         raise ValueError(f"expected one policy per player, got "
                          f"players {sorted(policies)}")
-    share = share_mode_for(game)
-    expected = value_players(share, n)
-    for h, models in values.items():
-        if sorted(models) != expected:
-            raise ValueError(f"{directory} timestep {h}: value networks for "
-                             f"players {sorted(models)}, expected {expected} "
-                             f"(share mode {share!r})")
     return game, [policies[p] for p in range(n)], values
 
 
@@ -105,8 +98,7 @@ def load_policy_agent(directory: str, game: Game | None = None,
                       name: str = "nncce") -> TrainedAgent:
     """Rebuild a TrainedAgent from a checkpoint directory."""
     game, policies, values = _load(directory, game, QValueModel)
-    share = share_mode_for(game)
-    sources = {h: MlpValueSource(models, share)
+    sources = {h: MlpValueSource(game, models)
                for h, models in values.items()}
     return TrainedAgent(game, policies, sources, name=name)
 
@@ -118,6 +110,6 @@ def load_smcts_agent(directory: str, game: Game | None = None,
     if list(values) != [-1]:
         raise ValueError(f"{directory}: expected value networks for "
                          f"timestep all, got timesteps {sorted(values)}")
-    return SmctsAgent(game, values[-1], policies, share_mode_for(game),
+    return SmctsAgent(game, values[-1], policies,
                       eval_simulations=eval_simulations,
                       search_play=search_play, name=name)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .approx import (PolicyModel, QValueModel, SupportCodec, TabularQ,
-                     fit_tabular, joint_actions, stack_by_shape)
+from .approx import (PolicyModel, QValueModel, SupportCodec, fit_tabular,
+                     joint_actions, stack_by_shape)
 from .bandit import legal_policy, legal_rows_by_count, sample_index
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
@@ -115,6 +115,18 @@ def value_players(share_mode: str, n: int) -> list[int]:
     return [0] if share_mode != "none" else list(range(n))
 
 
+def checked_share_mode(game: Game, models: dict) -> str:
+    """The game's share mode, after checking that ``models`` (player ->
+    value network) holds exactly the players that own a network under
+    it; every holder of value networks is built through this check."""
+    share = share_mode_for(game)
+    expected = value_players(share, game.num_players)
+    if sorted(models) != expected:
+        raise ValueError(f"value networks for players {sorted(models)}, "
+                         f"expected {expected} (share mode {share!r})")
+    return share
+
+
 def fill_shared(values: np.ndarray, share_mode: str) -> np.ndarray:
     """Fill the other players' entries on the last axis from player 0's,
     in place; returns ``values``."""
@@ -127,10 +139,11 @@ def fill_shared(values: np.ndarray, share_mode: str) -> np.ndarray:
 
 class TabularValueSource:
     """Per-player values of every joint action of layer states, looked
-    up in a table fitted on the layer's edges."""
+    up in a table fitted on the layer's edges (``fit_tabular``); a joint
+    action missing from the table is worth 0.5 to every player."""
 
-    def __init__(self, table: TabularQ):
-        self.table = table
+    def __init__(self, table: dict):
+        self.table = table             # (state key, joint) -> value
 
     def joint_values(self, game, states):
         """Values in [0, 1], shape (len(states), prod(A), N)."""
@@ -140,7 +153,7 @@ class TabularValueSource:
         for si, s in enumerate(states):
             key = s.key()
             for ji, j in enumerate(joints):
-                v = self.table.lookup(key, j)
+                v = self.table.get((key, tuple(j)), 0.5)
                 out[si, ji] = v if np.ndim(v) else np.full(n, float(v))
         return out
 
@@ -150,9 +163,9 @@ class MlpValueSource:
     per-player value networks, or one shared network whose output maps
     to the other players by the game's reward symmetry."""
 
-    def __init__(self, models: dict, share_mode: str):
+    def __init__(self, game: Game, models: dict):
+        self.share_mode = checked_share_mode(game, models)
         self.models = models           # player index -> QValueModel
-        self.share_mode = share_mode   # see share_mode_for
 
     def joint_values(self, game, states):
         """Values in [0, 1], shape (len(states), prod(A), N)."""
@@ -161,11 +174,10 @@ class MlpValueSource:
         b, j = len(states), len(joints)
         out = np.empty((b, j, n))
         joints_rep = np.tile(joints, (b, 1))
-        for p in value_players(self.share_mode, n):
+        for p, model in self.models.items():
             obs = np.stack([game.observe(s, p) for s in states])
             obs_rep = np.repeat(obs, j, axis=0)
-            vals = self.models[p].predict(obs_rep, joints_rep).reshape(b, j)
-            out[:, :, p] = vals
+            out[:, :, p] = model.predict(obs_rep, joints_rep).reshape(b, j)
         return fill_shared(out, self.share_mode)
 
 
@@ -181,16 +193,15 @@ def fit_layer_values(game: Game, records: list, tc: TrainConfig, h: int,
     if tc.value_backend == "tabular":
         table = fit_tabular([(r.state.key(), r.joint, r.value)
                              for r in records])
-        if len(table.table) > tc.tabular_cap:
+        if len(table) > tc.tabular_cap:
             raise ValueError(f"tabular backend over cap: "
-                             f"{len(table.table)} > {tc.tabular_cap}")
+                             f"{len(table)} > {tc.tabular_cap}")
         return TabularValueSource(table), 0.0
 
-    share = share_mode_for(game)
     codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
     models = {}
     losses = []
-    for p in value_players(share, game.num_players):
+    for p in value_players(share_mode_for(game), game.num_players):
         data = [((game.observe(r.state, p), r.joint), float(r.value[p]))
                 for r in records]
         data = upsample_values(data, tc.upsample_classes,
@@ -209,7 +220,7 @@ def fit_layer_values(game: Game, records: list, tc: TrainConfig, h: int,
         losses.append(model.fit(obs, joints, values, tc.q_epochs,
                                 tc.batch_size, rng))
         models[p] = model
-    return MlpValueSource(models, share), float(np.mean(losses))
+    return MlpValueSource(game, models), float(np.mean(losses))
 
 
 @dataclass
@@ -269,7 +280,8 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
 
 class TrainedAgent:
     """Per-player policy networks plus the last iteration's per-layer
-    value sources.
+    value sources (``value_models``: layer h -> value source; a search
+    agent has none, and keeps its networks in ``state_value_models``).
 
     The networks are not fitted after the agent is built: the stacked
     passes (``policies``, and a search agent's ``observed_value``) read

@@ -244,7 +244,7 @@ class PerPlayerSmctsSource:
         out = np.full(n, 0.5)
         for p in value_players(agent.share_mode, n):
             obs = agent.game.observe(state, p)
-            out[p] = float(agent.value_models[p].predict(obs)[0])
+            out[p] = float(agent.state_value_models[p].predict(obs)[0])
         return fill_shared(out, agent.share_mode)
 
 

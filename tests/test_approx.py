@@ -19,7 +19,7 @@ from equilearn.approx.mlp import MlpModel, _softmax, infer
 from equilearn.approx.models import (ComposedModel, ModelStack, PolicyModel,
                                      QValueModel, ValueModel, encode_joint,
                                      joint_actions, stack_by_shape)
-from equilearn.approx.tabular import TabularQ, fit_tabular
+from equilearn.approx.tabular import fit_tabular
 
 
 # -- support codec ----------------------------------------------------------
@@ -274,9 +274,9 @@ def test_fit_tabular_averages_duplicates():
     table = fit_tabular([("s", (0, 1), np.array([1.0, 0.0])),
                          ("s", (0, 1), np.array([0.0, 1.0])),
                          ("t", (1, 1), 0.25)])
-    np.testing.assert_allclose(table.lookup("s", (0, 1)), [0.5, 0.5])
-    assert table.lookup("t", (1, 1)) == pytest.approx(0.25)
-    assert table.lookup("missing", (0, 0)) == pytest.approx(0.5)
+    assert sorted(table) == [("s", (0, 1)), ("t", (1, 1))]
+    np.testing.assert_allclose(table["s", (0, 1)], [0.5, 0.5])
+    assert table["t", (1, 1)] == pytest.approx(0.25)
 
 
 # -- checkpoints -----------------------------------------------------------

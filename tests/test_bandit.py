@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _oracles import legal_policy as frozen_legal_policy
 from hypothesis.extra import numpy as hnp
 
+from equilearn.approx import SupportCodec, ValueModel
 from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
                               ix_policies, ix_update_rows, legal_policy,
                               legal_rows, legal_rows_by_count, regret,
@@ -265,8 +266,11 @@ DRAW_SITES = {
     "trained-agent": lambda game, row, rng: TrainedAgent(
         game, [_FixedPolicy(row)], {}).act(game, None, 0, rng),
     "smcts-policy-play": lambda game, row, rng: SmctsAgent(
-        game, {}, [_FixedPolicy(row)], "none",
-        search_play=False).act(game, None, 0, rng),
+        _one_player(game, row, observe=game.observe,
+                    reward_symmetry="general"),
+        {0: ValueModel(1, SupportCodec(num_bins=2), trunk_hidden=(),
+                       rep_size=1, head_hidden=())},
+        [_FixedPolicy(row)], search_play=False).act(game, None, 0, rng),
     "tree-rollout": lambda game, row, rng: _sample_action(
         game, _rollout_node(game, row), 0, False, rng),
     "search-descent": lambda game, row, rng: _search_draw(game, row, rng),
@@ -282,12 +286,12 @@ def _row_source(row):
                   for s in states])))
 
 
-def _one_player(game, row, **methods):
+def _one_player(game, row, **attrs):
     """A one-player game over ``len(row)`` actions with ``game``'s legal
-    actions and the given further ``methods``."""
+    actions and the given further attributes."""
     return SimpleNamespace(
         num_players=1, spec=SimpleNamespace(action_counts=(len(row),)),
-        legal_actions=game.legal_actions, **methods)
+        legal_actions=game.legal_actions, **attrs)
 
 
 def _rollout_node(game, row):

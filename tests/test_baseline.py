@@ -21,7 +21,7 @@ from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
 from equilearn.harness import play_paired, run_match
-from equilearn.trainer import AgentPolicySource, TrainedAgent, share_mode_for
+from equilearn.trainer import AgentPolicySource, share_mode_for
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -182,7 +182,8 @@ def test_smcts_train_smoke():
     agent.search_play = False
     a = agent.act(game, state, 1, np.random.default_rng(1))
     assert a in game.legal_actions(state, 1)
-    value = agent.state_value(state)
+    obs = [game.observe(state, p) for p in range(game.num_players)]
+    value = agent.observed_value([obs])[0]
     assert value.shape == (2,)
 
 
@@ -199,8 +200,22 @@ def _small_agent(game, seed, name, simulations=4):
                             head_hidden=(8, 8), dropout_rate=0.0,
                             seed=seed + 10 + p)
                 for p in range(game.num_players)]
-    return SmctsAgent(game, values, policies, share,
-                      eval_simulations=simulations, name=name)
+    return SmctsAgent(game, values, policies, eval_simulations=simulations,
+                      name=name)
+
+
+def test_smcts_agent_rejects_two_codecs():
+    """An agent's value networks are stacked over one codec's bin
+    centers, so two codecs are refused when the agent is built."""
+    game = game_from_id("pursuit")
+    policies = _small_agent(game, 0, "codecs").policy_models
+    values = {p: ValueModel(game.observation_size,
+                            SupportCodec(num_bins=5 + (p == 2)),
+                            trunk_hidden=(8, 8), rep_size=4,
+                            head_hidden=(8, 8), seed=p)
+              for p in range(game.num_players)}
+    with pytest.raises(ValueError, match="share one codec"):
+        SmctsAgent(game, values, policies)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -311,7 +326,7 @@ def test_smcts_search_draws_stay_legal():
 def test_rollout_draws_stay_legal():
     game = _RecordingGoofspiel()
     root, agent = _illegal_mass_agent(game)
-    source = AgentPolicySource(TrainedAgent(game, agent.policy_models, {}))
+    source = AgentPolicySource(agent)
     game.sample_start = lambda rng: root
     generate_tree(game, source, 300, rng=np.random.default_rng(0))
     assert len(game.steps) > 20
@@ -484,12 +499,12 @@ def test_sources_return_legal_policies(tmp_path, game_id, source_name):
     one-row rule's legal policy of its raw weights (the policy network's
     output, or ones for the uniform source) at the player's action
     count, and zeros past it, for one state alone and for a batch: the
-    search and rollouts draw from these rows as they are."""
+    search and rollouts draw from these rows as they are. A search agent
+    holds no per-layer value source, so rollouts on it read 0.5 values."""
     game = _game(tmp_path, game_id)
     counts = game.spec.action_counts
     agent = _small_agent(game, 3, "protocol")
-    source = {"agent": AgentPolicySource(
-                  TrainedAgent(game, agent.policy_models, {})),
+    source = {"agent": AgentPolicySource(agent),
               "smcts": SmctsSource(agent),
               "uniform": UniformPolicySource()}[source_name]
 
@@ -506,6 +521,8 @@ def test_sources_return_legal_policies(tmp_path, game_id, source_name):
         values, rows = source.predict(game, batch)
         assert values.shape == (len(batch), game.num_players)
         assert rows.shape == (len(batch), game.num_players, max(counts))
+        if source_name == "agent":
+            assert values.tobytes() == np.full(values.shape, 0.5).tobytes()
         for state, row in zip(batch, rows):
             for p, a in enumerate(counts):
                 want = legal_policy(raw(state, p),

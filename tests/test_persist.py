@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
-    ValueModel
-from equilearn.baseline import SmctsAgent, smcts_train
+    ValueModel, fit_tabular, save_model
+from equilearn.baseline import smcts_train
 from equilearn.config import Config
 from equilearn.games import game_from_id
 from equilearn.persist import (load_policy_agent, load_smcts_agent,
                                sanitize_game_id, save_smcts_agent,
                                save_trained_agent)
-from equilearn.approx import fit_tabular
 from equilearn.trainer import (MlpValueSource, TabularValueSource,
                                TrainedAgent, train)
 
@@ -62,8 +61,9 @@ def test_smcts_agent_roundtrip(tmp_path):
     restored = load_smcts_agent(str(tmp_path), eval_simulations=10)
     assert restored.game.spec.horizon == 2
     state = restored.game.start_states()[0][0]
-    np.testing.assert_allclose(restored.state_value(state),
-                               agent.state_value(state), atol=1e-4)
+    obs = [restored.game.observe(state, p) for p in range(2)]
+    np.testing.assert_allclose(restored.observed_value([obs]),
+                               agent.observed_value([obs]), atol=1e-4)
     for p in range(2):
         np.testing.assert_allclose(restored.policy(state, p),
                                    agent.policy(state, p), atol=1e-4)
@@ -85,28 +85,42 @@ def _tiny_policies(game):
             for p in range(game.num_players)]
 
 
+def _write_checkpoints(directory, game, game_id, value_models, timestep):
+    """Write a checkpoint directory file by file, named as the savers
+    name their files: a policy network per player, and ``value_models``
+    (player -> network) at ``timestep`` (-1 for all timesteps)."""
+    directory.mkdir()
+    tag = sanitize_game_id(game_id)
+    for p, model in enumerate(_tiny_policies(game)):
+        save_model(str(directory / f"{tag}_{p}_policy.ccef"), model,
+                   game=game_id, player=p)
+    h = "all" if timestep == -1 else timestep
+    for p, model in value_models.items():
+        save_model(str(directory / f"{tag}_{p}_{h}.ccef"), model,
+                   game=game_id, player=p, timestep=timestep)
+
+
 @pytest.mark.parametrize("game_id, players", [
     ("matrix:mp", (0, 1)),      # zero-sum: only player 0 owns a network
     ("pursuit", (0,)),          # no symmetry: every player owns one
 ])
 def test_loaders_reject_value_players_against_share_mode(tmp_path, game_id,
                                                          players):
+    """A directory whose value networks disagree with the game's share
+    mode cannot come from a built agent, so it is written file by file;
+    both loaders refuse it."""
     game = game_from_id(game_id)
     codec = SupportCodec(num_bins=5)
     q = {p: QValueModel(game.observation_size, game.spec.action_counts,
                         codec, trunk_hidden=(4,), rep_size=3,
                         head_hidden=(4,), seed=p) for p in players}
-    agent = TrainedAgent(game, _tiny_policies(game),
-                         {0: MlpValueSource(q, "none")})
-    save_trained_agent(agent, str(tmp_path / "policy"), game_id)
-    with pytest.raises(ValueError, match="value networks for players"):
-        load_policy_agent(str(tmp_path / "policy"))
-
+    _write_checkpoints(tmp_path / "policy", game, game_id, q, timestep=0)
     v = {p: ValueModel(game.observation_size, codec, trunk_hidden=(4,),
                        rep_size=3, head_hidden=(4,), seed=p)
          for p in players}
-    smcts = SmctsAgent(game, v, _tiny_policies(game), "none")
-    save_smcts_agent(smcts, str(tmp_path / "smcts"), game_id)
+    _write_checkpoints(tmp_path / "smcts", game, game_id, v, timestep=-1)
+    with pytest.raises(ValueError, match="value networks for players"):
+        load_policy_agent(str(tmp_path / "policy"))
     with pytest.raises(ValueError, match="value networks for players"):
         load_smcts_agent(str(tmp_path / "smcts"))
 
@@ -123,7 +137,7 @@ def test_save_refuses_tabular_value_sources(tmp_path):
     start = game.start_states()[0][0].key()
     table = fit_tabular([(start, (0, 0), np.array([1.0, 0.0]))])
     agent = TrainedAgent(game, _tiny_policies(game),
-                         {0: MlpValueSource(q, "zero_sum"),
+                         {0: MlpValueSource(game, q),
                           1: TabularValueSource(table)})
     with pytest.raises(ValueError, match="layer 1 .*tabular"):
         save_trained_agent(agent, str(tmp_path), "goofspiel:3")

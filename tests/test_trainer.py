@@ -7,7 +7,7 @@ import pytest
 
 from equilearn import baseline, trainer
 from equilearn.approx import ComposedModel, PolicyModel, QValueModel, \
-    SupportCodec, fit_tabular
+    SupportCodec, ValueModel, fit_tabular
 from equilearn.cce import verify_cce
 from equilearn.config import Config
 from equilearn.data import GameTree, TreeNode, UniformPolicySource, \
@@ -49,6 +49,30 @@ def test_share_mode_for():
     assert share_mode_for(prisoners_dilemma()) == "none"
 
 
+@pytest.mark.parametrize("game_id, players", [
+    ("matrix:mp", (0, 1)),      # zero-sum: only player 0 owns a network
+    ("pursuit", (0,)),          # no symmetry: every player owns one
+    ("pursuit", ()),
+])
+def test_value_network_holders_check_players_against_share_mode(game_id,
+                                                                players):
+    """Both holders of value networks, the learner's per-layer source and
+    the search agent, are built only for the players that own a network
+    under the game's share mode."""
+    game = game_from_id(game_id)
+    codec = SupportCodec(num_bins=5)
+    q = {p: QValueModel(game.observation_size, game.spec.action_counts,
+                        codec, trunk_hidden=(4,), rep_size=3,
+                        head_hidden=(4,), seed=p) for p in players}
+    with pytest.raises(ValueError, match="value networks for players"):
+        MlpValueSource(game, q)
+    v = {p: ValueModel(game.observation_size, codec, trunk_hidden=(4,),
+                       rep_size=3, head_hidden=(4,), seed=p)
+         for p in players}
+    with pytest.raises(ValueError, match="value networks for players"):
+        baseline.SmctsAgent(game, v, _tiny_policies(game))
+
+
 def _tiny_policies(game):
     return [PolicyModel(game.observation_size, game.spec.action_counts[p],
                         trunk_hidden=(6,), rep_size=4, head_hidden=(6,),
@@ -58,17 +82,16 @@ def _tiny_policies(game):
 
 def _mlp_source(game):
     codec = SupportCodec(num_bins=5)
-    share = share_mode_for(game)
-    players = value_players(share, game.num_players)
-    return MlpValueSource({p: QValueModel(
+    players = value_players(share_mode_for(game), game.num_players)
+    return MlpValueSource(game, {p: QValueModel(
         game.observation_size, game.spec.action_counts, codec,
         trunk_hidden=(6,), rep_size=4, head_hidden=(6,), dropout_rate=0.0,
-        seed=p) for p in players}, share)
+        seed=p) for p in players})
 
 
 def _tabular_source(game):
     """A table over some of the joint actions of the layer-0 states; the
-    rest fall back to the table's default."""
+    source gives the rest 0.5."""
     rng = np.random.default_rng(5)
     tree = generate_tree(game, UniformPolicySource(), 50, rng=rng)
     counts = game.spec.action_counts
@@ -390,8 +413,10 @@ def test_agent_networks_are_not_fitted_after_the_agent_is_built(monkeypatch,
     def recording_build(self, game, policy_models, value_models, **kwargs):
         build(self, game, policy_models, value_models, **kwargs)
         models = list(policy_models)
-        for v in value_models.values():
-            models.extend(getattr(v, "models", {None: v}).values())
+        for source in value_models.values():
+            models.extend(source.models.values())
+        # a search agent sets its networks before this runs
+        models.extend(getattr(self, "state_value_models", {}).values())
         held.update((id(m.net), m.net) for m in models)
 
     def recording_fit(self, *args, **kwargs):
