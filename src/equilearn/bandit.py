@@ -12,8 +12,7 @@ these functions.
 The module also holds the one rule by which every learner, agent,
 rollout and search draws an action from weights: :func:`legal_rows`
 restricts blocks of weight rows to their legal arms and normalizes them
-(its one-row case is :func:`legal_policy`, and
-:func:`legal_rows_by_count` applies it to per-player blocks at each
+(:func:`legal_rows_by_count` applies it to per-player blocks at each
 player's own action count), and :func:`cdf_rows` and
 :func:`draw_rows` draw one arm per row (their one-row case is
 :func:`sample_index`).
@@ -85,24 +84,15 @@ def legal_rows_by_count(weights, masks, counts) -> np.ndarray:
     """:func:`legal_rows` of a ``(k, N, A_max)`` block of per-player
     weight rows under their ``(k, N, A_max)`` masks, each player ``p``'s
     rows normalized at its own action count ``counts[p]`` and then
-    padded with zeros: the bits of :func:`legal_policy` on each row cut
-    to its player's count. Players of one count form one block."""
+    padded with zeros: the bits of :func:`legal_rows` on each row cut
+    to its player's count, one row at a time. Players of one count form
+    one block."""
     rows = np.zeros(masks.shape)
     for a in sorted(set(counts)):
         players = [p for p, c in enumerate(counts) if c == a]
         rows[:, players, :a] = legal_rows(weights[:, players, :a],
                                           masks[:, players, :a])
     return rows
-
-
-def legal_policy(weights, legal) -> np.ndarray:
-    """``weights`` restricted to the ``legal`` arms, clipped at zero and
-    normalized; uniform over the legal arms when none has mass. It is
-    the one-row case of :func:`legal_rows`."""
-    w = np.asarray(weights, dtype=float)
-    mask = np.zeros(len(w), dtype=bool)
-    mask[list(legal)] = True
-    return legal_rows(w, mask)
 
 
 def cdf_rows(weights) -> np.ndarray:

@@ -4,24 +4,24 @@ Training alternates tree building with model fitting: rollout trees are
 built by the same descent used for equilibrium training, node values
 are backed up bottom-up as visit-weighted means grounded in normalized
 terminal returns, and value/policy networks are fit on replay batches
-drawn uniformly per timestep. At evaluation time the agent can either
-run a fresh per-move search or play its distilled policy directly.
+drawn uniformly per timestep. At evaluation time the agent runs a
+fresh per-move search; its distilled policy networks alone are played
+by loading its checkpoint as a ``TrainedAgent``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import cdf_rows, draw_rows, legal_policy, sample_index
+from .bandit import cdf_rows, draw_rows, legal_rows_by_count
 from .config import Config
 from .data import (GameTree, ReplayBuffer, ReplayEntry, TreeNode,
                    UniformPolicySource, generate_tree, replay_sample)
 from .games import game_from_id
-from .games.base import Game, GameState
+from .games.base import Game, GameState, legal_masks
 from .trainer import (TrainConfig, TrainedAgent, checked_share_mode,
                       fill_shared, frontier_values, gated_training,
                       grounding_layer, new_policy_models, share_mode_for,
@@ -53,25 +53,33 @@ def backup_tree_values(game: Game, tree: GameTree):
             node.value = (vals * (w / w.sum())[:, None]).sum(axis=0)
 
 
-def visit_policy(game: Game, node, player: int) -> np.ndarray:
-    """Per-player marginal of child visit counts, uniform-legal fallback."""
-    counts = np.zeros(game.spec.action_counts[player])
+def visit_policies(game: Game, node) -> np.ndarray:
+    """Each player's marginal of child visit counts, ``(N, A_max)`` and
+    zero past its action count; uniform over the legal actions for a
+    player with no visited child."""
+    counts = [[0] * max(game.spec.action_counts)
+              for _ in range(game.num_players)]
     for joint, child in node.children.items():
-        counts[joint[player]] += child.visit_count
-    return legal_policy(counts, game.legal_actions(node.state, player))
+        for p, a in enumerate(joint):
+            counts[p][a] += child.visit_count
+    return legal_rows_by_count(np.array([counts], dtype=float),
+                               legal_masks(game, [node.state]),
+                               game.spec.action_counts)[0]
 
 
 def tree_to_replay(game: Game, tree: GameTree, buffer: ReplayBuffer):
     """One replay entry per (non-terminal node, player)."""
+    counts = game.spec.action_counts
     for h in range(game.horizon):
         for node in tree.layer_of(h):
             obs = [game.observe(node.state, p)
                    for p in range(game.num_players)]
+            policies = visit_policies(game, node)
             for p in range(game.num_players):
                 buffer.add(ReplayEntry(
                     observations=obs,
                     value=float(np.asarray(node.value)[p]),
-                    policy=visit_policy(game, node, p),
+                    policy=policies[p, :counts[p]],
                     timestep=h, player=p,
                     visit_count=node.visit_count))
 
@@ -92,30 +100,18 @@ class SmctsSource:
                 self.agent.policies(states, obs))
 
 
-@dataclass
-class _LastSearch:
-    """An agent's last search, served again only to a player it has not
-    served yet, on the same state object and drawing from the same
-    generator: every match has its own generator, so no match or replay
-    reuses a search made in another."""
-    state: GameState
-    rng: np.random.Generator
-    policies: list
-    served: set = field(default_factory=set)
-
-
 class SmctsAgent(TrainedAgent):
-    """Search-at-play or distilled-policy agent over the fitted models.
-
-    With ``search_play`` the agent searches each state once and serves
-    every player it controls on that state from the one search's root
-    policies, drawing one action per player; otherwise it plays its
-    policy networks as a TrainedAgent does.
+    """Search-at-play agent over the fitted models: its play rows are a
+    per-move search's root policies, so under ``TrainedAgent.act`` it
+    searches each state once and serves every player it controls on
+    that state from the one search. Its policy networks alone are
+    played by loading its checkpoint as a ``TrainedAgent``
+    (``policy:<dir>``).
     """
 
     def __init__(self, game: Game, state_value_models: dict,
                  policy_models: list, eval_simulations: int = 100,
-                 search_play: bool = True, name: str = "smcts"):
+                 name: str = "smcts"):
         self.share_mode = checked_share_mode(game, state_value_models)
         if len({m.codec for m in state_value_models.values()}) > 1:
             raise ValueError("an agent's value networks share one codec")
@@ -123,8 +119,6 @@ class SmctsAgent(TrainedAgent):
         self.state_value_models = state_value_models
         super().__init__(game, policy_models, {}, name=name)
         self.eval_simulations = eval_simulations
-        self.search_play = search_play
-        self._last_search: _LastSearch | None = None
 
     @functools.cached_property
     def _value_stacks(self) -> list:
@@ -145,23 +139,16 @@ class SmctsAgent(TrainedAgent):
             out[:, players] = (support[..., None, :] @ centers)[..., 0].T
         return fill_shared(out, self.share_mode)
 
-    def act(self, game: Game, state: GameState, player: int,
-            rng: np.random.Generator) -> int:
-        if not self.search_play:
-            return super().act(game, state, player, rng)
-        last = self._last_search
-        if (last is None or last.state is not state or last.rng is not rng
-                or player in last.served):
-            _, policies = smcts_search(game, state, SmctsSource(self),
-                                       self.eval_simulations, rng)
-            last = self._last_search = _LastSearch(state, rng, policies)
-        last.served.add(player)
-        return sample_index(last.policies[player], rng)
+    def play_rows(self, game: Game, state: GameState,
+                  rng: np.random.Generator) -> np.ndarray:
+        return smcts_search(game, state, SmctsSource(self),
+                            self.eval_simulations, rng)[1]
 
 
 def smcts_search(game: Game, state: GameState, source, simulations: int,
                  rng: np.random.Generator) -> tuple:
-    """Per-move search; returns (root value estimate, per-player policies).
+    """Per-move search; returns the root value estimate and the root's
+    per-player policies ``(N, A_max)``.
 
     Search nodes are rollout-tree nodes (:class:`~equilearn.data.TreeNode`)
     that start at zero visits; each keeps the source's legal policies as
@@ -172,7 +159,7 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     the leaf value up the path as a running mean. Terminal leaves ground
     the scale through a per-player sigmoid of accumulated returns;
     interior leaves keep the source's value estimate. Root policies are
-    the marginal child-visit distributions (:func:`visit_policy`).
+    the marginal child-visit distributions (:func:`visit_policies`).
 
     A new non-terminal node is pending until a descent steps onto it or
     the last simulation ends; then every pending node is predicted in
@@ -229,7 +216,7 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
             node.visit_count += 1
             node.value = (node.value
                           + (leaf_value - node.value) / node.visit_count)
-    return root.value, [visit_policy(game, root, p) for p in range(n)]
+    return root.value, visit_policies(game, root)
 
 
 def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
@@ -281,8 +268,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                                                      tc.batch_size, rng))
 
         candidate = SmctsAgent(game, value_models, policy_models,
-                               eval_simulations=tc.eval_simulations,
-                               search_play=tc.search_play)
+                               eval_simulations=tc.eval_simulations)
         return candidate, [{
             "iteration": it, "replay_size": len(buffer),
             "value_loss": float(np.mean(v_losses)) if v_losses else None,

@@ -117,7 +117,7 @@ def _agent_from_spec(spec: str, game, cfg: Config, name: str):
     if kind == "smcts":
         return persist.load_smcts_agent(
             path, game, eval_simulations=cfg["smcts.eval_simulations"],
-            search_play=cfg["smcts.search_play"], name=name)
+            name=name)
     raise ConfigError(f"unknown agent kind {kind!r}")
 
 

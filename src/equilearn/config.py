@@ -58,8 +58,6 @@ DEFAULTS: dict = {
     "smcts.batches": (300, "replay minibatches per training iteration"),
     "smcts.eval_simulations": (100, "search simulations per move at "
                                     "evaluation time"),
-    "smcts.search_play": (True, "act by per-move search; False plays the "
-                                "distilled policy directly"),
 
     "io.out_dir": ("out", "output directory for checkpoints, logs, CSVs"),
 
@@ -103,17 +101,8 @@ def _coerce(value, target):
     if isinstance(value, target) and not (target is int
                                           and isinstance(value, bool)):
         return value
-    if target is bool:
-        if isinstance(value, str):
-            low = value.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-        raise ValueError(f"not a boolean: {value!r}")
     if target is int:
-        out = int(str(value).strip())
-        return out
+        return int(str(value).strip())
     if target is float:
         return float(str(value).strip())
     if target is str:

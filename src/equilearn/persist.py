@@ -104,12 +104,11 @@ def load_policy_agent(directory: str, game: Game | None = None,
 
 
 def load_smcts_agent(directory: str, game: Game | None = None,
-                     eval_simulations: int = 100, search_play: bool = True,
+                     eval_simulations: int = 100,
                      name: str = "smcts") -> SmctsAgent:
     game, policies, values = _load(directory, game, ValueModel)
     if list(values) != [-1]:
         raise ValueError(f"{directory}: expected value networks for "
                          f"timestep all, got timesteps {sorted(values)}")
     return SmctsAgent(game, values[-1], policies,
-                      eval_simulations=eval_simulations,
-                      search_play=search_play, name=name)
+                      eval_simulations=eval_simulations, name=name)

@@ -21,7 +21,7 @@ import numpy as np
 from . import harness
 from .approx import (PolicyModel, QValueModel, SupportCodec, fit_tabular,
                      joint_actions, stack_by_shape)
-from .bandit import legal_policy, legal_rows_by_count, sample_index
+from .bandit import legal_rows_by_count, sample_index
 from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
 from .config import Config
@@ -64,7 +64,6 @@ class TrainConfig:
     smcts_iterations: int
     smcts_batches: int
     eval_simulations: int
-    search_play: bool
 
     @classmethod
     def from_config(cls, cfg: Config) -> "TrainConfig":
@@ -95,7 +94,6 @@ class TrainConfig:
             smcts_iterations=cfg["smcts.iterations"],
             smcts_batches=cfg["smcts.batches"],
             eval_simulations=cfg["smcts.eval_simulations"],
-            search_play=cfg["smcts.search_play"],
         )
 
 
@@ -296,19 +294,21 @@ class TrainedAgent:
         self.name = name
         self.training_log: list = []
         self.gate_score: float | None = None
+        self._served: tuple | None = None      # (state, rng, rows, players)
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
-        obs = self.game.observe(state, player)
-        return legal_policy(self.policy_models[player].predict(obs)[0],
-                            self.game.legal_actions(state, player))
+        obs = [self.game.observe(state, p)
+               for p in range(self.game.num_players)]
+        return self.policies([state], [obs])[
+            0, player, :self.game.spec.action_counts[player]]
 
     @functools.cached_property
     def _policy_stacks(self) -> list:
         return stack_by_shape([m.net for m in self.policy_models])
 
     def policies(self, states: list, obs: list) -> np.ndarray:
-        """Every player's ``policy(state, p)`` for each of ``states``, the
-        same bits, from one stacked pass per policy-network shape and one
+        """Every player's legal policy for each of ``states``, from one
+        stacked pass per policy-network shape and one
         :func:`legal_rows_by_count` call; ``obs[i][p]`` is player ``p``'s
         observation of ``states[i]``. Returns ``(k, N, A_max)`` rows,
         zero past each player's action count."""
@@ -320,9 +320,31 @@ class TrainedAgent:
         return legal_rows_by_count(weights, masks,
                                    self.game.spec.action_counts)
 
+    def play_rows(self, game: Game, state: GameState,
+                  rng: np.random.Generator) -> np.ndarray:
+        """The ``(N, A_max)`` rows that :meth:`act` draws from on
+        ``state``: here the policy networks' legal policies; a search
+        agent searches."""
+        obs = [game.observe(state, p) for p in range(game.num_players)]
+        return self.policies([state], [obs])[0]
+
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
-        return sample_index(self.policy(state, player), rng)
+        """Draw ``player``'s action from ``state``'s :meth:`play_rows`.
+
+        The rows of one state serve every player the agent controls on
+        it: they are served again only to a player not served yet, on
+        the same state object and drawing from the same generator. Every
+        match has its own generator, so no match or replay reuses rows
+        made in another.
+        """
+        served = self._served
+        if (served is None or served[0] is not state or served[1] is not rng
+                or player in served[3]):
+            served = self._served = (state, rng,
+                                     self.play_rows(game, state, rng), set())
+        served[3].add(player)
+        return sample_index(served[2][player], rng)
 
 
 class AgentPolicySource:

@@ -192,6 +192,27 @@ def legal_policy(weights, legal):
     return w / total if total > 0.0 else mask / mask.sum()
 
 
+class PerPlayerAgent:
+    """``TrainedAgent.act`` as it was before one ``act`` served every
+    player an agent controls from one state's rows: each move is one
+    single-row forward of the player's policy network, normalized by
+    :func:`legal_policy`, and one draw. Verbatim but for the receiver;
+    the agent's match records and ``policy`` bits must match it."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.name = agent.name
+
+    def policy(self, state, player):
+        agent = self.agent
+        obs = agent.game.observe(state, player)
+        return legal_policy(agent.policy_models[player].predict(obs)[0],
+                            agent.game.legal_actions(state, player))
+
+    def act(self, game, state, player, rng):
+        return sample_index(self.policy(state, player), rng)
+
+
 def _softmax(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from _oracles import legal_policy as frozen_legal_policy
 from hypothesis.extra import numpy as hnp
 
-from equilearn.approx import SupportCodec, ValueModel
+from equilearn.approx import ComposedModel
 from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
-                              ix_policies, ix_update_rows, legal_policy,
-                              legal_rows, legal_rows_by_count, regret,
-                              run_exp_ix, sample_index)
-from equilearn.baseline import SmctsAgent, smcts_search
+                              ix_policies, ix_update_rows, legal_rows,
+                              legal_rows_by_count, regret, run_exp_ix,
+                              sample_index)
+from equilearn.baseline import smcts_search
 from equilearn.cce import ma_exp_ix_batch
 from equilearn.data import _node_for, _sample_action
 from equilearn.trainer import TrainedAgent
@@ -208,8 +208,6 @@ def test_legal_rows_match_the_row_rule(width):
             "strided": legal_rows(padded[:, 1, :width], masks),
             "rows": np.stack([legal_rows(w, m)
                               for w, m in zip(weights, masks)]),
-            "one-row": np.stack([legal_policy(w, np.flatnonzero(m))
-                                 for w, m in zip(weights, masks)]),
             "with-mass": legal_rows(weights[has_mass], masks[has_mass]),
         }
     for name, block in got.items():
@@ -244,11 +242,15 @@ def test_legal_rows_by_count_match_the_row_rule(counts):
 
 
 class _FixedPolicy:
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
+    """A policy model whose network outputs ``row`` on every observation:
+    a linear head with zero weights and ``row`` as its last bias."""
 
-    def predict(self, obs):
-        return self.row[None]
+    def __init__(self, row):
+        self.net = ComposedModel([1, 1], [1, len(row)], "linear")
+        for mlp in (self.net.trunk, self.net.head):
+            for w in mlp.weights:
+                w[:] = 0.0
+        self.net.head.biases[-1][:] = row
 
 
 # (network output or a source's weights before the legal rule, legal
@@ -263,14 +265,7 @@ ZERO_WEIGHT_TRAPS = {
 }
 
 DRAW_SITES = {
-    "trained-agent": lambda game, row, rng: TrainedAgent(
-        game, [_FixedPolicy(row)], {}).act(game, None, 0, rng),
-    "smcts-policy-play": lambda game, row, rng: SmctsAgent(
-        _one_player(game, row, observe=game.observe,
-                    reward_symmetry="general"),
-        {0: ValueModel(1, SupportCodec(num_bins=2), trunk_hidden=(),
-                       rep_size=1, head_hidden=())},
-        [_FixedPolicy(row)], search_play=False).act(game, None, 0, rng),
+    "trained-agent": lambda game, row, rng: _agent_draw(game, row, rng),
     "tree-rollout": lambda game, row, rng: _sample_action(
         game, _rollout_node(game, row), 0, False, rng),
     "search-descent": lambda game, row, rng: _search_draw(game, row, rng),
@@ -292,6 +287,14 @@ def _one_player(game, row, **attrs):
     return SimpleNamespace(
         num_players=1, spec=SimpleNamespace(action_counts=(len(row),)),
         legal_actions=game.legal_actions, **attrs)
+
+
+def _agent_draw(game, row, rng):
+    """A trained agent's action in a one-player game whose one policy
+    network outputs ``row``."""
+    game = _one_player(game, row, observe=game.observe)
+    return TrainedAgent(game, [_FixedPolicy(row)], {}).act(game, None, 0,
+                                                           rng)
 
 
 def _rollout_node(game, row):

@@ -4,14 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from _oracles import (PerPlayerSmctsSource, legal_policy,
+from _oracles import (PerPlayerAgent, PerPlayerSmctsSource, legal_policy,
                       sequential_smcts_search)
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
 from equilearn.baseline import (SmctsAgent, SmctsSource, backup_tree_values,
                                 smcts_search, smcts_train, tree_to_replay,
-                                visit_policy)
+                                visit_policies)
 from equilearn.config import Config
 from equilearn.data import (GameTree, ReplayBuffer, TreeNode,
                             UniformPolicySource, generate_tree)
@@ -21,7 +21,8 @@ from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
 from equilearn.harness import play_paired, run_match
-from equilearn.trainer import AgentPolicySource, share_mode_for
+from equilearn.trainer import (AgentPolicySource, TrainedAgent,
+                               share_mode_for, train)
 
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
@@ -63,8 +64,9 @@ def test_backup_visit_weighted_mean():
 def test_visit_policy_marginalizes_children():
     game, tree = _chain_tree()
     root = tree.layer_of(0)[0]
-    for p in range(2):
-        policy = visit_policy(game, root, p)
+    policies = visit_policies(game, root)
+    assert policies.shape == (2, 2)
+    for p, policy in enumerate(policies):
         assert policy.sum() == pytest.approx(1.0)
         counts = np.zeros(2)
         for joint, child in root.children.items():
@@ -76,8 +78,8 @@ def test_visit_policy_fallback_uniform():
     game, tree = _chain_tree(sims=1)
     childless = [n for n in tree.layer_of(1) if not n.children]
     if childless:
-        policy = visit_policy(game, childless[0], 0)
-        np.testing.assert_allclose(policy, [0.5, 0.5])
+        policies = visit_policies(game, childless[0])
+        np.testing.assert_allclose(policies, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_tree_to_replay_entry_counts():
@@ -179,8 +181,8 @@ def test_smcts_train_smoke():
     a = agent.act(game, state, 0, np.random.default_rng(0))
     assert a in game.legal_actions(state, 0)
     # distilled-policy play also stays legal
-    agent.search_play = False
-    a = agent.act(game, state, 1, np.random.default_rng(1))
+    distilled = TrainedAgent(game, agent.policy_models, {})
+    a = distilled.act(game, state, 1, np.random.default_rng(1))
     assert a in game.legal_actions(state, 1)
     obs = [game.observe(state, p) for p in range(game.num_players)]
     value = agent.observed_value([obs])[0]
@@ -204,6 +206,13 @@ def _small_agent(game, seed, name, simulations=4):
                       name=name)
 
 
+def _small_learner(game, seed, name):
+    """An untrained learner agent with the FAST_NET-sized policy
+    networks of :func:`_small_agent`."""
+    return TrainedAgent(game, _small_agent(game, seed, name).policy_models,
+                        {}, name=name)
+
+
 def test_smcts_agent_rejects_two_codecs():
     """An agent's value networks are stacked over one codec's bin
     centers, so two codecs are refused when the agent is built."""
@@ -218,10 +227,29 @@ def test_smcts_agent_rejects_two_codecs():
         SmctsAgent(game, values, policies)
 
 
+def _check_each_state_once(make, shared, passes):
+    """``passes`` gets the state of each computation of an agent's play
+    rows. In a pursuit match the two-pursuer side computes once per
+    state, and an agent playing every side computes each state once; a
+    player asked again on the same state gets a fresh computation."""
+    game = PursuitGame()
+    pursuers = make(game, 0, "pursuers")
+    evader = pursuers if shared else make(game, 100, "evader")
+    record = run_match(game, (pursuers, evader), seed=0)
+    assert record.forfeit_by is None
+    sides = 1 if shared else 2
+    assert len(passes) == sides * game.horizon
+    assert len({id(s) for s in passes}) == game.horizon
+    passes.clear()
+    state, rng = game.start_states()[0][0], np.random.default_rng(0)
+    for p in (0, 1, 0):
+        pursuers.act(game, state, p, rng)
+    assert len(passes) == 2
+
+
 @pytest.mark.parametrize("shared", [False, True])
 def test_smcts_agent_searches_each_state_once(monkeypatch, shared):
-    """The two-pursuer side is served from one search per state, and an
-    agent playing every side searches each state once."""
+    """The search agent computes its play rows by one search."""
     searches = []
 
     def counting(*args, **kwargs):
@@ -229,20 +257,43 @@ def test_smcts_agent_searches_each_state_once(monkeypatch, shared):
         return smcts_search(*args, **kwargs)
 
     monkeypatch.setattr(baseline, "smcts_search", counting)
-    game = PursuitGame()
-    pursuers = _small_agent(game, 0, "pursuers")
-    evader = pursuers if shared else _small_agent(game, 100, "evader")
-    record = run_match(game, (pursuers, evader), seed=0)
-    assert record.forfeit_by is None
-    sides = 1 if shared else 2
-    assert len(searches) == sides * game.horizon
-    assert len({id(s) for s in searches}) == game.horizon
-    # a player asked again on the same state gets a fresh search
-    searches.clear()
-    state, rng = game.start_states()[0][0], np.random.default_rng(0)
-    for p in (0, 1, 0):
-        pursuers.act(game, state, p, rng)
-    assert len(searches) == 2
+    _check_each_state_once(_small_agent, shared, searches)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_trained_agent_predicts_each_state_once(monkeypatch, shared):
+    """The learner computes its play rows by one ``policies`` pass."""
+    passes = []
+    policies = TrainedAgent.policies
+
+    def counting(self, states, obs):
+        passes.extend(states)
+        return policies(self, states, obs)
+
+    monkeypatch.setattr(TrainedAgent, "policies", counting)
+    _check_each_state_once(_small_learner, shared, passes)
+
+
+def test_learner_match_records_follow_the_per_player_rule():
+    """Paired pursuit matches of a small trained learner against the
+    search agent, on both sides, give the records of the frozen rule
+    that drew each player's action from its own single-row forward, and
+    the same joint actions, in the matches and in the searches."""
+    learner = train(Config({"game": "pursuit", "train.outer_iters": "1",
+                            "train.trajectories": "100",
+                            "train.cv_trees": "1", "cce.rounds": "100",
+                            "train.gate_matches": "4", **FAST_NET}))
+    game = _RecordingPursuit()
+    smcts = _small_agent(game, 50, "smcts", simulations=10)
+    played = []
+    for agent in (learner, PerPlayerAgent(learner)):
+        game.steps.clear()
+        records = play_paired(game, agent, smcts, n_pairs=6, base_seed=0)
+        played.append((records, [joint for _, joint in game.steps]))
+    assert {r.agents for r in played[0][0]} == {("nncce", "smcts"),
+                                                ("smcts", "nncce")}
+    assert len(played[0][1]) > 12 * game.horizon
+    assert played[0] == played[1]
 
 
 class _OneStartPennies(MatrixGame):
@@ -275,6 +326,16 @@ def test_smcts_matches_do_not_depend_on_earlier_play():
 class _RecordingGoofspiel(GoofspielGame):
     def __init__(self):
         super().__init__(4, prize_order=(1, 2, 3, 4))
+        self.steps = []
+
+    def step(self, state, joint):
+        self.steps.append((state, joint))
+        return super().step(state, joint)
+
+
+class _RecordingPursuit(PursuitGame):
+    def __init__(self):
+        super().__init__()
         self.steps = []
 
     def step(self, state, joint):
@@ -425,9 +486,17 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
             smcts_search(game, state, source, 30, rng)
             for source, rng in zip((stacked, oracle), rngs))
         assert value.tobytes() == want_value.tobytes()
-        for p, want in zip(policies, want_policies):
-            assert p.tobytes() == want.tobytes()
+        _assert_rows_equal(policies, want_policies)
     assert rngs[0].random() == rngs[1].random()
+
+
+def _assert_rows_equal(rows, want_policies):
+    """The search's ``(N, A_max)`` root rows are, player by player, the
+    bits of the oracle's policy rows, then zeros."""
+    assert len(rows) == len(want_policies)
+    for row, want in zip(rows, want_policies):
+        assert row[:len(want)].tobytes() == want.tobytes()
+        assert not row[len(want):].any()
 
 
 class _ZeroLegalSource:
@@ -486,8 +555,7 @@ def test_batched_search_matches_sequential_search(tmp_path, game_id,
         want_value, want_policies = sequential_smcts_search(
             game, state, source, simulations, rngs[1])
         assert value.tobytes() == want_value.tobytes()
-        for p, want in zip(policies, want_policies):
-            assert p.tobytes() == want.tobytes()
+        _assert_rows_equal(policies, want_policies)
         assert rngs[0].random() == rngs[1].random()
 
 

@@ -134,8 +134,6 @@ def test_config_defaults_and_overrides():
     assert cfg["train.outer_iters"] == 7
     cfg.set("net.learning_rate", "1e-3")
     assert cfg["net.learning_rate"] == pytest.approx(1e-3)
-    cfg.set("smcts.search_play", "false")
-    assert cfg["smcts.search_play"] is False
 
 
 def test_config_unknown_key_is_an_error():
@@ -146,9 +144,12 @@ def test_config_unknown_key_is_an_error():
         cfg.get("not.a.key")
     with pytest.raises(ConfigError):
         cfg.set("train.outer_iters", "many")
+    with pytest.raises(ConfigError):
+        cfg.set("train.outer_iters", True)
     # keys whose other setting nothing ran are gone
     for key in ("train.warm_start", "cce.prune", "net.dense_actions",
-                "upsample.min_count", "match.sequential"):
+                "upsample.min_count", "match.sequential",
+                "smcts.search_play"):
         with pytest.raises(ConfigError):
             cfg.set(key, "1")
 

@@ -4,11 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from _oracles import PerPlayerAgent
 
 from equilearn.approx import PolicyModel, QValueModel, SupportCodec, \
     ValueModel, fit_tabular, save_model
 from equilearn.baseline import smcts_train
+from equilearn.cli import main
 from equilearn.config import Config
+from equilearn.data import UniformPolicySource, generate_tree
 from equilearn.games import game_from_id
 from equilearn.persist import (load_policy_agent, load_smcts_agent,
                                sanitize_game_id, save_smcts_agent,
@@ -67,6 +70,34 @@ def test_smcts_agent_roundtrip(tmp_path):
     for p in range(2):
         np.testing.assert_allclose(restored.policy(state, p),
                                    agent.policy(state, p), atol=1e-4)
+
+
+def test_search_agent_directory_loads_as_distilled_play(tmp_path):
+    """``policy:<dir>`` on a search agent's directory plays its policy
+    networks alone: the loaded agent's ``policy`` is the frozen one-row
+    rule's bits on reachable states, and ``head2head`` runs it."""
+    cfg = Config({"game": "pursuit", "smcts.simulations": "200",
+                  "smcts.iterations": "1", "smcts.batches": "5",
+                  "train.gate_matches": "4", **FAST_NET})
+    save_smcts_agent(smcts_train(cfg), str(tmp_path), "pursuit")
+    distilled = load_policy_agent(str(tmp_path))
+    assert type(distilled) is TrainedAgent and distilled.value_models == {}
+    game, frozen = distilled.game, PerPlayerAgent(distilled)
+    tree = generate_tree(game, UniformPolicySource(), 200,
+                         rng=np.random.default_rng(0))
+    states = [node.state for layer in tree.layers for node in layer.values()
+              if not node.state.terminal]
+    assert len(states) > 100
+    for state in states:
+        for p in range(game.num_players):
+            assert (distilled.policy(state, p).tobytes()
+                    == frozen.policy(state, p).tobytes())
+    assert main(["head2head", "--game", "pursuit",
+                 "--out-dir", str(tmp_path / "match"),
+                 "--agent-a", f"policy:{tmp_path}",
+                 "--agent-b", f"smcts:{tmp_path}", "--seed", "1",
+                 "--set", "match.count=4",
+                 "--set", "smcts.eval_simulations=5"]) == 0
 
 
 def test_load_rejects_missing_directory(tmp_path):
