@@ -11,7 +11,7 @@ from .cce import (ma_exp_ix_batch, normalize_losses, prune_dominated,
                   verify_cce)
 from .config import Config, ConfigError, load_config
 from .games import Game, GameState, game_from_id
-from .trainer import TrainConfig, TrainedAgent, train
+from .trainer import TrainedAgent, train
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "verify_cce",
     "Config", "ConfigError", "load_config",
     "Game", "GameState", "game_from_id",
-    "TrainConfig", "TrainedAgent", "train",
+    "TrainedAgent", "train",
     "__version__",
 ]

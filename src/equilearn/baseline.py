@@ -22,10 +22,9 @@ from .data import (GameTree, ReplayBuffer, ReplayEntry, TreeNode,
                    UniformPolicySource, generate_tree, replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState, legal_masks
-from .trainer import (TrainConfig, TrainedAgent, checked_share_mode,
-                      fill_shared, frontier_values, gated_training,
-                      grounding_layer, new_policy_models, share_mode_for,
-                      value_players)
+from .trainer import (TrainedAgent, checked_share_mode, fill_shared,
+                      frontier_values, gated_training, grounding_layer,
+                      new_policy_models, share_mode_for, value_players)
 
 
 def _sigmoid(x):
@@ -222,34 +221,34 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
 def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
     """Fit search-guided value and policy networks under the same
     validation gate as equilibrium training."""
-    tc = TrainConfig.from_config(cfg)
     if game is None:
-        game = game_from_id(tc.game_id)
-    rng = np.random.default_rng(tc.seed)
+        game = game_from_id(cfg["game"])
+    rng = np.random.default_rng(cfg["seed"])
     players = value_players(share_mode_for(game), game.num_players)
-    codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
+    codec = SupportCodec()
+    hidden = (cfg["net.q_hidden"],) * 2
+    batch_size = cfg["net.batch_size"]
 
     def make_candidate(it: int, accepted: SmctsAgent | None):
         source = (UniformPolicySource() if accepted is None
                   else SmctsSource(accepted))
-        tree = generate_tree(game, source, tc.smcts_simulations,
-                             randomize=tc.randomize_prob, rng=rng)
+        tree = generate_tree(game, source, cfg["smcts.simulations"],
+                             randomize=cfg["train.randomize_prob"], rng=rng)
         backup_tree_values(game, tree)
         buffer = ReplayBuffer()
         tree_to_replay(game, tree, buffer)
 
         value_models = {p: ValueModel(
             obs_size=game.observation_size, codec=codec,
-            trunk_hidden=(tc.q_hidden, tc.q_hidden), rep_size=tc.q_rep,
-            head_hidden=(tc.q_hidden, tc.q_hidden),
-            dropout_rate=tc.q_dropout, l2_coeff=tc.q_l2,
-            learning_rate=tc.learning_rate,
-            seed=tc.seed + 7919 * it + p) for p in players}
-        policy_models = new_policy_models(game, tc, it)
+            trunk_hidden=hidden, rep_size=cfg["net.q_rep"],
+            head_hidden=hidden, dropout_rate=cfg["net.q_dropout"],
+            learning_rate=cfg["net.learning_rate"],
+            seed=cfg["seed"] + 7919 * it + p) for p in players}
+        policy_models = new_policy_models(game, cfg, it)
 
         v_losses, p_losses = [], []
-        for _ in range(tc.smcts_batches):
-            batch = replay_sample(buffer, tc.batch_size, rng)
+        for _ in range(cfg["smcts.batches"]):
+            batch = replay_sample(buffer, batch_size, rng)
             for p in players:
                 sub = [e for e in batch if e.player == p]
                 if not sub:
@@ -257,7 +256,7 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                 obs = np.stack([e.observations[p] for e in sub])
                 vals = np.array([e.value for e in sub])
                 v_losses.append(value_models[p].fit(obs, vals, 1,
-                                                    tc.batch_size, rng))
+                                                    batch_size, rng))
             for p in range(game.num_players):
                 sub = [e for e in batch if e.player == p]
                 if not sub:
@@ -265,15 +264,17 @@ def smcts_train(cfg: Config, game: Game | None = None) -> SmctsAgent:
                 obs = np.stack([e.observations[p] for e in sub])
                 pols = np.stack([e.policy for e in sub])
                 p_losses.append(policy_models[p].fit(obs, pols, 1,
-                                                     tc.batch_size, rng))
+                                                     batch_size, rng))
 
-        candidate = SmctsAgent(game, value_models, policy_models,
-                               eval_simulations=tc.eval_simulations)
+        candidate = SmctsAgent(
+            game, value_models, policy_models,
+            eval_simulations=cfg["smcts.eval_simulations"])
         return candidate, [{
             "iteration": it, "replay_size": len(buffer),
             "value_loss": float(np.mean(v_losses)) if v_losses else None,
             "policy_loss": float(np.mean(p_losses)) if p_losses else None,
         }]
 
-    return gated_training(game, tc.smcts_iterations, tc.patience,
-                          tc.gate_matches, tc.seed + 700_000, make_candidate)
+    return gated_training(game, cfg["smcts.iterations"],
+                          cfg["train.patience"], cfg["train.gate_matches"],
+                          cfg["seed"] + 700_000, make_candidate)

@@ -8,9 +8,12 @@ exported as replay TSV). Exit codes: 0 on success, 1 on usage or
 configuration errors, 2 on runtime failures (including a verify-cce
 epsilon above the requested threshold).
 
-Agent specs for match commands: ``random``, ``policy:<dir>`` (a
-checkpoint directory from ``train``) or ``smcts:<dir>``. The
-``CCE_LOG`` environment variable sets the logging level.
+The config file is the optional positional argument; ``--set``
+overrides one of its keys. Match commands take their agent specs only
+from ``--agent-a``/``--agent-b`` (default ``random``) or ``--agents``:
+``random``, ``policy:<dir>`` (a checkpoint directory from ``train``) or
+``smcts:<dir>``. The ``CCE_LOG`` environment variable sets the logging
+level.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ def _setup_logging():
 
 
 def _load_cfg(args) -> Config:
-    path = getattr(args, "config_file", None) or args.config
-    cfg = load_config(path) if path else Config()
+    cfg = load_config(args.config_file) if args.config_file else Config()
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -59,7 +61,6 @@ def _load_cfg(args) -> Config:
 def _common_options(p: argparse.ArgumentParser):
     p.add_argument("config_file", nargs="?",
                    help="config file of key = value lines")
-    p.add_argument("--config", help="config file (same as the positional)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--seed", type=int, help="override the master seed")
@@ -124,10 +125,8 @@ def _agent_from_spec(spec: str, game, cfg: Config, name: str):
 def cmd_head2head(args) -> int:
     cfg = _load_cfg(args)
     game = game_from_id(cfg["game"])
-    spec_a = args.agent_a or cfg["match.agent_a"]
-    spec_b = args.agent_b or cfg["match.agent_b"]
-    agent_a = _agent_from_spec(spec_a, game, cfg, "agent_a")
-    agent_b = _agent_from_spec(spec_b, game, cfg, "agent_b")
+    agent_a = _agent_from_spec(args.agent_a, game, cfg, "agent_a")
+    agent_b = _agent_from_spec(args.agent_b, game, cfg, "agent_b")
     n_pairs = max(1, cfg["match.count"] // 2)
     records = harness.play_paired(game, agent_a, agent_b, n_pairs,
                                   base_seed=cfg["seed"])
@@ -137,17 +136,16 @@ def cmd_head2head(args) -> int:
     harness.write_atomic(out, table.to_csv())
     stats = harness.win_stats(records, "agent_a")
     rate = harness.win_rate(records, "agent_a")
-    print(f"{spec_a} vs {spec_b}: {stats['wins']}W {stats['losses']}L "
-          f"{stats['draws']}D over {stats['matches']} matches, "
-          f"win rate {rate:.3f} (draws excluded); table at {out}")
+    print(f"{args.agent_a} vs {args.agent_b}: {stats['wins']}W "
+          f"{stats['losses']}L {stats['draws']}D over {stats['matches']} "
+          f"matches, win rate {rate:.3f} (draws excluded); table at {out}")
     return EXIT_OK
 
 
 def cmd_tournament(args) -> int:
     cfg = _load_cfg(args)
     game = game_from_id(cfg["game"])
-    specs = [s.strip() for s in
-             (args.agents or cfg["match.agents"]).split(",") if s.strip()]
+    specs = [s.strip() for s in args.agents.split(",") if s.strip()]
     if len(specs) < 2:
         raise ConfigError("tournament needs at least two agent specs "
                           "(comma-separated)")
@@ -222,8 +220,7 @@ def cmd_gen_data(args) -> int:
     game = game_from_id(cfg["game"])
     rng = np.random.default_rng(cfg["seed"])
     tree = generate_tree(game, UniformPolicySource(),
-                         cfg["gen.trajectories"],
-                         randomize=cfg["gen.randomize_prob"], rng=rng)
+                         cfg["gen.trajectories"], randomize=0.5, rng=rng)
     baseline.backup_tree_values(game, tree)
     from .data import ReplayBuffer, export_replay_tsv
     buffer = ReplayBuffer()
@@ -252,13 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("head2head", help="paired matches of two agents")
     _common_options(p)
-    p.add_argument("--agent-a", help="random | policy:<dir> | smcts:<dir>")
-    p.add_argument("--agent-b")
+    p.add_argument("--agent-a", default="random",
+                   help="random | policy:<dir> | smcts:<dir>")
+    p.add_argument("--agent-b", default="random")
     p.set_defaults(func=cmd_head2head)
 
     p = sub.add_parser("tournament", help="round-robin win table")
     _common_options(p)
-    p.add_argument("--agents", help="comma-separated agent specs")
+    p.add_argument("--agents", default="",
+                   help="comma-separated agent specs")
     p.set_defaults(func=cmd_tournament)
 
     p = sub.add_parser("verify-cce",

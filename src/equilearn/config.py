@@ -40,18 +40,11 @@ DEFAULTS: dict = {
     "net.policy_hidden": (1028, "hidden width of the policy trunk and head"),
     "net.policy_rep": (64, "policy representation width"),
     "net.learning_rate": (5e-5, "Adam learning rate"),
-    "net.q_l2": (1e-4, "L2 coefficient, value networks"),
-    "net.policy_l2": (2e-4, "L2 coefficient, policy networks"),
     "net.q_dropout": (0.5, "dropout rate, value networks"),
     "net.policy_dropout": (0.6, "dropout rate, policy networks"),
-    "net.support_bins": (21, "value-support bin count"),
     "net.q_epochs": (30, "training epochs per value fit"),
     "net.policy_epochs": (40, "training epochs per policy fit"),
     "net.batch_size": (64, "minibatch size"),
-
-    "upsample.classes": (10, "value classes for minority up-sampling; "
-                             "classes under max(50, n/20) of n records "
-                             "merge first"),
 
     "smcts.simulations": (2000, "tree simulations per training iteration"),
     "smcts.iterations": (3, "training iterations"),
@@ -61,14 +54,9 @@ DEFAULTS: dict = {
 
     "io.out_dir": ("out", "output directory for checkpoints, logs, CSVs"),
 
-    "match.agent_a": ("random", "first agent: random | policy:<dir> | "
-                                "smcts:<dir>"),
-    "match.agent_b": ("random", "second agent"),
-    "match.agents": ("", "comma-separated agent specs for tournaments"),
     "match.count": (200, "matches (or matches per pair)"),
 
     "gen.trajectories": (1000, "simulations for gen-data tree building"),
-    "gen.randomize_prob": (0.5, "randomization for gen-data rollouts"),
 }
 
 

@@ -33,70 +33,6 @@ from .games.base import Game, GameState, legal_masks
 log = logging.getLogger("equilearn.trainer")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    game_id: str
-    seed: int
-    outer_iters: int
-    trajectories: int
-    cv_trees: int
-    randomize_prob: float
-    value_backend: str
-    tabular_cap: int
-    patience: int
-    gate_matches: int
-    cce_rounds: int
-    q_hidden: int
-    q_rep: int
-    policy_hidden: int
-    policy_rep: int
-    learning_rate: float
-    q_l2: float
-    policy_l2: float
-    q_dropout: float
-    policy_dropout: float
-    support_bins: int
-    q_epochs: int
-    policy_epochs: int
-    batch_size: int
-    upsample_classes: int
-    smcts_simulations: int
-    smcts_iterations: int
-    smcts_batches: int
-    eval_simulations: int
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "TrainConfig":
-        return cls(
-            game_id=cfg["game"], seed=cfg["seed"],
-            outer_iters=cfg["train.outer_iters"],
-            trajectories=cfg["train.trajectories"],
-            cv_trees=cfg["train.cv_trees"],
-            randomize_prob=cfg["train.randomize_prob"],
-            value_backend=cfg["train.value_backend"],
-            tabular_cap=cfg["train.tabular_cap"],
-            patience=cfg["train.patience"],
-            gate_matches=cfg["train.gate_matches"],
-            cce_rounds=cfg["cce.rounds"],
-            q_hidden=cfg["net.q_hidden"], q_rep=cfg["net.q_rep"],
-            policy_hidden=cfg["net.policy_hidden"],
-            policy_rep=cfg["net.policy_rep"],
-            learning_rate=cfg["net.learning_rate"],
-            q_l2=cfg["net.q_l2"], policy_l2=cfg["net.policy_l2"],
-            q_dropout=cfg["net.q_dropout"],
-            policy_dropout=cfg["net.policy_dropout"],
-            support_bins=cfg["net.support_bins"],
-            q_epochs=cfg["net.q_epochs"],
-            policy_epochs=cfg["net.policy_epochs"],
-            batch_size=cfg["net.batch_size"],
-            upsample_classes=cfg["upsample.classes"],
-            smcts_simulations=cfg["smcts.simulations"],
-            smcts_iterations=cfg["smcts.iterations"],
-            smcts_batches=cfg["smcts.batches"],
-            eval_simulations=cfg["smcts.eval_simulations"],
-        )
-
-
 def share_mode_for(game: Game) -> str:
     """How one value network stands for every player: 'zero_sum' (two
     players whose values sum to 1), 'identical' (every player gets the
@@ -179,7 +115,7 @@ class MlpValueSource:
         return fill_shared(out, self.share_mode)
 
 
-def fit_layer_values(game: Game, records: list, tc: TrainConfig, h: int,
+def fit_layer_values(game: Game, records: list, cfg: Config, h: int,
                      iteration: int, rng: np.random.Generator):
     """Fit the per-layer value backend on edge records.
 
@@ -188,35 +124,36 @@ def fit_layer_values(game: Game, records: list, tc: TrainConfig, h: int,
     """
     if not records:
         raise ValueError(f"no edge records at layer {h}")
-    if tc.value_backend == "tabular":
+    if cfg["train.value_backend"] == "tabular":
         table = fit_tabular([(r.state.key(), r.joint, r.value)
                              for r in records])
-        if len(table) > tc.tabular_cap:
+        cap = cfg["train.tabular_cap"]
+        if len(table) > cap:
             raise ValueError(f"tabular backend over cap: "
-                             f"{len(table)} > {tc.tabular_cap}")
+                             f"{len(table)} > {cap}")
         return TabularValueSource(table), 0.0
 
-    codec = SupportCodec(num_bins=tc.support_bins, lo=0.0, hi=1.0)
+    codec = SupportCodec()
+    hidden = (cfg["net.q_hidden"],) * 2
     models = {}
     losses = []
     for p in value_players(share_mode_for(game), game.num_players):
         data = [((game.observe(r.state, p), r.joint), float(r.value[p]))
                 for r in records]
-        data = upsample_values(data, tc.upsample_classes,
-                               max(50, len(data) // 20), rng)
+        # ten value classes; those under max(50, n/20) records merge first
+        data = upsample_values(data, 10, max(50, len(data) // 20), rng)
         model = QValueModel(
             obs_size=game.observation_size,
             action_counts=game.spec.action_counts, codec=codec,
-            trunk_hidden=(tc.q_hidden, tc.q_hidden), rep_size=tc.q_rep,
-            head_hidden=(tc.q_hidden, tc.q_hidden),
-            dropout_rate=tc.q_dropout, l2_coeff=tc.q_l2,
-            learning_rate=tc.learning_rate,
-            seed=tc.seed + 7919 * iteration + 101 * h + p)
+            trunk_hidden=hidden, rep_size=cfg["net.q_rep"],
+            head_hidden=hidden, dropout_rate=cfg["net.q_dropout"],
+            learning_rate=cfg["net.learning_rate"],
+            seed=cfg["seed"] + 7919 * iteration + 101 * h + p)
         obs = np.stack([d[0][0] for d in data])
         joints = [d[0][1] for d in data]
         values = np.array([d[1] for d in data])
-        losses.append(model.fit(obs, joints, values, tc.q_epochs,
-                                tc.batch_size, rng))
+        losses.append(model.fit(obs, joints, values, cfg["net.q_epochs"],
+                                cfg["net.batch_size"], rng))
         models[p] = model
     return MlpValueSource(game, models), float(np.mean(losses))
 
@@ -233,7 +170,7 @@ class LayerResult:
 
 
 def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
-                  tc: TrainConfig, iteration: int, rng: np.random.Generator
+                  cfg: Config, iteration: int, rng: np.random.Generator
                   ) -> LayerResult:
     """Fit the layer's value model, then stage-solve every layer state.
 
@@ -247,7 +184,7 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     if not nodes:
         raise ValueError(f"empty layer {h}")
     records = build_q_dataset(tree, h, child_values)
-    source, fit_loss = fit_layer_values(game, records, tc, h, iteration,
+    source, fit_loss = fit_layer_values(game, records, cfg, h, iteration,
                                         rng)
 
     counts = game.spec.action_counts
@@ -258,7 +195,8 @@ def process_layer(game: Game, tree: GameTree, h: int, child_values: dict,
     tensors = np.clip(1.0 - values.reshape((len(nodes), *counts, n)),
                       0.0, 1.0)
     masks = prune_dominated(tensors, legal)
-    batch = ma_exp_ix_batch(tensors, tc.cce_rounds, masks=masks, rng=rng)
+    batch = ma_exp_ix_batch(tensors, cfg["cce.rounds"], masks=masks,
+                            rng=rng)
     dists = batch.joint_counts.reshape(tensors.shape[:-1]) / batch.rounds
     eps = verify_cce(tensors, dists, legal)
 
@@ -450,16 +388,16 @@ def validation_gate(candidate: TrainedAgent, previous_score: float | None,
                         improved=score > previous_score)
 
 
-def new_policy_models(game: Game, tc: TrainConfig, iteration: int):
+def new_policy_models(game: Game, cfg: Config, iteration: int):
     """Fresh per-player policy networks for an iteration's candidate."""
+    hidden = (cfg["net.policy_hidden"],) * 2
     return [PolicyModel(obs_size=game.observation_size,
                         num_actions=game.spec.action_counts[p],
-                        trunk_hidden=(tc.policy_hidden, tc.policy_hidden),
-                        rep_size=tc.policy_rep,
-                        head_hidden=(tc.policy_hidden, tc.policy_hidden),
-                        dropout_rate=tc.policy_dropout, l2_coeff=tc.policy_l2,
-                        learning_rate=tc.learning_rate,
-                        seed=tc.seed + 1009 * iteration + p)
+                        trunk_hidden=hidden, rep_size=cfg["net.policy_rep"],
+                        head_hidden=hidden,
+                        dropout_rate=cfg["net.policy_dropout"],
+                        learning_rate=cfg["net.learning_rate"],
+                        seed=cfg["seed"] + 1009 * iteration + p)
             for p in range(game.num_players)]
 
 
@@ -505,19 +443,19 @@ def gated_training(game: Game, iterations: int, patience: int,
 
 def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
     """Run the full outer loop and return the last accepted agent."""
-    tc = TrainConfig.from_config(cfg)
     if game is None:
-        game = game_from_id(tc.game_id)
-    rng = np.random.default_rng(tc.seed)
+        game = game_from_id(cfg["game"])
+    rng = np.random.default_rng(cfg["seed"])
 
     def make_candidate(it: int, accepted: TrainedAgent | None):
         if accepted is None:
             source = UniformPolicySource()
         else:
             source = AgentPolicySource(accepted)
-        trees = [generate_tree(game, source, tc.trajectories,
-                               randomize=tc.randomize_prob, rng=rng)
-                 for _ in range(tc.cv_trees)]
+        trees = [generate_tree(game, source, cfg["train.trajectories"],
+                               randomize=cfg["train.randomize_prob"],
+                               rng=rng)
+                 for _ in range(cfg["train.cv_trees"])]
         tree = select_tree_by_cv(trees)
 
         frontier = grounding_layer(tree)
@@ -526,7 +464,8 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         policy_data = [[] for _ in range(game.num_players)]
         rows = []
         for h in range(frontier - 1, -1, -1):
-            result = process_layer(game, tree, h, child_values, tc, it, rng)
+            result = process_layer(game, tree, h, child_values, cfg, it,
+                                   rng)
             value_models[h] = result.source
             child_values = result.values
             for p, obs, policy in result.policy_records:
@@ -548,13 +487,14 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
             # corrupt the accepted agent's parameters
             policy_models = copy.deepcopy(accepted.policy_models)
         else:
-            policy_models = new_policy_models(game, tc, it)
+            policy_models = new_policy_models(game, cfg, it)
         policy_losses = []
         for p in range(game.num_players):
             obs = np.stack([o for o, _ in policy_data[p]])
             targets = np.stack([t for _, t in policy_data[p]])
             policy_losses.append(policy_models[p].fit(
-                obs, targets, tc.policy_epochs, tc.batch_size, rng))
+                obs, targets, cfg["net.policy_epochs"],
+                cfg["net.batch_size"], rng))
         rows.append({
             "iteration": it, "layer": None, "mean_stage_value": None,
             "mean_epsilon": None, "p95_epsilon": None, "max_epsilon": None,
@@ -563,5 +503,6 @@ def train(cfg: Config, game: Game | None = None) -> TrainedAgent:
         })
         return TrainedAgent(game, policy_models, value_models), rows
 
-    return gated_training(game, tc.outer_iters, tc.patience, tc.gate_matches,
-                          tc.seed + 500_000, make_candidate)
+    return gated_training(game, cfg["train.outer_iters"],
+                          cfg["train.patience"], cfg["train.gate_matches"],
+                          cfg["seed"] + 500_000, make_candidate)

@@ -28,8 +28,7 @@ from equilearn.data import UniformPolicySource, generate_tree, replay_sample, \
 from equilearn.data import upsample_plan
 from equilearn.games import game_from_id
 from equilearn.games.matrix import ChainGame
-from equilearn.trainer import TrainConfig, frontier_values, process_layer, \
-    train
+from equilearn.trainer import frontier_values, process_layer, train
 
 from _oracles import backward_cce_values
 
@@ -121,7 +120,6 @@ def test_criterion_4_backward_oracle_equivalence():
     assert 1 + 9 + 81 <= 100
     cfg = Config({"game": "chain:5", "train.value_backend": "tabular",
                   "cce.rounds": "12000"})
-    tc = TrainConfig.from_config(cfg)
     rng = np.random.default_rng(0)
     tree = generate_tree(game, UniformPolicySource(), 6000, rng=rng)
     assert [len(l) for l in tree.layers] == [1, 9, 81]
@@ -129,11 +127,11 @@ def test_criterion_4_backward_oracle_equivalence():
     child_values = frontier_values(game, tree, 2)
     learned = {}
     for h in (1, 0):
-        result = process_layer(game, tree, h, child_values, tc, 0, rng)
+        result = process_layer(game, tree, h, child_values, cfg, 0, rng)
         child_values = result.values
         learned[h] = result.values
 
-    oracle = backward_cce_values(game, rounds=10 * tc.cce_rounds,
+    oracle = backward_cce_values(game, rounds=10 * cfg["cce.rounds"],
                                  rng=np.random.default_rng(99))
     diffs = []
     for h in (1, 0):

@@ -1,6 +1,7 @@
 """Tests for match play, win tables, configuration and the CLI."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from equilearn.config import Config, ConfigError, load_config
 from equilearn.games import game_from_id
 from equilearn.harness import (RandomAgent, WinTable, play_paired, run_match,
                                tournament, win_rate, win_stats)
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.cfg"))
 
 
 # -- matches ---------------------------------------------------------------
@@ -149,7 +153,9 @@ def test_config_unknown_key_is_an_error():
     # keys whose other setting nothing ran are gone
     for key in ("train.warm_start", "cce.prune", "net.dense_actions",
                 "upsample.min_count", "match.sequential",
-                "smcts.search_play"):
+                "smcts.search_play", "net.q_l2", "net.policy_l2",
+                "net.support_bins", "upsample.classes", "gen.randomize_prob",
+                "match.agent_a", "match.agent_b", "match.agents"):
         with pytest.raises(ConfigError):
             cfg.set(key, "1")
 
@@ -168,6 +174,12 @@ def test_load_config_file(tmp_path):
         load_config(str(bad))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
+def test_preset_loads(path):
+    """Every preset names only known keys with values of their type."""
+    load_config(str(path))
 
 
 # -- CLI -------------------------------------------------------------------
@@ -215,12 +227,18 @@ def test_cli_verify_cce_bad_distribution(tmp_path):
     assert main(["verify-cce", "matrix:mp", str(path)]) == 2
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("game = matrix:mp\n")
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["train", "--set", "bogus.key=1"]) == 1
     assert main(["train", "/no/such/config.cfg"]) == 1
     assert main(["head2head", "--agent-a", "wat:xyz"]) == 1
+    # the config file is the positional argument only
+    assert main(["train", "--config", str(path)]) == 1
+    # a tournament's agents come only from --agents
+    assert main(["tournament", "--game", "matrix:mp"]) == 1
 
 
 def test_cli_head2head_random_agents(tmp_path, capsys):

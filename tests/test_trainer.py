@@ -17,7 +17,7 @@ from equilearn.games.matrix import ChainGame, matching_pennies, \
     prisoners_dilemma
 from equilearn.trainer import (AgentPolicySource, GateDecision,
                                MlpValueSource, TabularValueSource,
-                               TrainConfig, TrainedAgent,
+                               TrainedAgent,
                                deepest_layer, frontier_values,
                                grounding_layer, process_layer,
                                share_mode_for, train, validation_gate,
@@ -38,10 +38,9 @@ def _chain_tree(sims=2000, seed=0):
     return game, tree
 
 
-def _tabular_tc(**over):
-    cfg = Config({"game": "chain:1", "train.value_backend": "tabular",
-                  "cce.rounds": "1500", **over})
-    return TrainConfig.from_config(cfg)
+def _tabular_cfg(**over):
+    return Config({"game": "chain:1", "train.value_backend": "tabular",
+                   "cce.rounds": "1500", **over})
 
 
 def test_share_mode_for():
@@ -195,9 +194,9 @@ def test_frontier_values_normalize_per_player():
 
 def test_process_layer_tabular_contract():
     game, tree = _chain_tree()
-    tc = _tabular_tc()
+    cfg = _tabular_cfg()
     child_values = frontier_values(game, tree, 2)
-    result = process_layer(game, tree, 1, child_values, tc, 0,
+    result = process_layer(game, tree, 1, child_values, cfg, 0,
                            np.random.default_rng(0))
     nodes = tree.layer_of(1)
     assert set(result.values) == {n.state.key() for n in nodes}
@@ -216,12 +215,11 @@ def test_process_layer_epsilon_is_over_legal_deviations():
     game = game_from_id("goofspiel:3")
     tree = generate_tree(game, UniformPolicySource(), 400,
                          rng=np.random.default_rng(0))
-    tc = TrainConfig.from_config(Config({
-        "game": "goofspiel:3", "train.value_backend": "tabular",
-        "cce.rounds": "500"}))
+    cfg = Config({"game": "goofspiel:3", "train.value_backend": "tabular",
+                  "cce.rounds": "500"})
     h = game.horizon - 1
     child_values = frontier_values(game, tree, game.horizon)
-    result = process_layer(game, tree, h, child_values, tc, 0,
+    result = process_layer(game, tree, h, child_values, cfg, 0,
                            np.random.default_rng(0))
     assert result.mean_epsilon == 0.0
 
@@ -234,9 +232,8 @@ def test_process_layer_epsilon_covers_every_state(monkeypatch):
     game = game_from_id("goofspiel:3")
     tree = generate_tree(game, UniformPolicySource(), 400,
                          rng=np.random.default_rng(0))
-    tc = TrainConfig.from_config(Config({
-        "game": "goofspiel:3", "train.value_backend": "tabular",
-        "cce.rounds": "200"}))
+    cfg = Config({"game": "goofspiel:3", "train.value_backend": "tabular",
+                  "cce.rounds": "200"})
     solves = []
     solve = trainer.ma_exp_ix_batch
 
@@ -249,7 +246,7 @@ def test_process_layer_epsilon_covers_every_state(monkeypatch):
     child_values = frontier_values(game, tree, game.horizon)
     rng = np.random.default_rng(0)
     for h in (2, 1):
-        result = process_layer(game, tree, h, child_values, tc, 0, rng)
+        result = process_layer(game, tree, h, child_values, cfg, 0, rng)
         child_values = result.values
     tensors, out = solves[-1]
     states = [node.state for node in tree.layer_of(1)]
