@@ -193,9 +193,29 @@ class QValueModel:
     def encode_actions(self, joints) -> np.ndarray:
         return encode_joint(joints, self.action_counts)
 
-    def predict(self, obs, joints) -> np.ndarray:
-        """Scalar values for row-aligned observations and joint actions."""
-        support = self.net.forward(obs, self.encode_actions(joints))
+    def joint_values(self, obs, joints) -> np.ndarray:
+        """Scalar values of each of ``joints`` on each row of ``obs``:
+        ``(B, J)``.
+
+        The head's first layer is affine over ``[rep; encoding]``, so it
+        splits into a state part, ``rep @ W0[:r]``, and a per-joint
+        table, ``encoding @ W0[r:] + b0``, built once per call. The trunk
+        runs once per state as single-row products ``(B, 1, d)``, and
+        the later head layers as stacked ``(B, J, h)`` products, each
+        state's rows their own ``(J, h)`` product: a state's values are
+        the same bits whatever batch it sits in.
+        """
+        trunk, head = self.net.trunk, self.net.head
+        obs = np.asarray(obs, dtype=float)
+        trunk._check_width(obs)
+        rep = infer(trunk.weights, trunk.biases, obs[:, None, :], "linear")
+        r = trunk.layer_dims[-1]
+        w0 = head.weights[0]
+        h = rep @ w0[:r]
+        h = h + (self.encode_actions(joints) @ w0[r:] + head.biases[0])
+        if len(head.weights) > 1:
+            np.maximum(h, 0.0, out=h)
+        support = infer(head.weights[1:], head.biases[1:], h, head.head_kind)
         return support @ self.codec.centers
 
     def fit(self, obs, joints, values, epochs, batch_size, rng):

@@ -16,10 +16,11 @@ import functools
 import numpy as np
 
 from .approx import SupportCodec, ValueModel, stack_by_shape
-from .bandit import cdf_rows, draw_rows, legal_rows_by_count
+from .bandit import draw_rows, legal_rows_by_count
 from .config import Config
-from .data import (GameTree, ReplayBuffer, ReplayEntry, TreeNode,
-                   UniformPolicySource, generate_tree, replay_sample)
+from .data import (GameTree, PendingNodes, ReplayBuffer, ReplayEntry,
+                   TreeNode, UniformPolicySource, generate_tree,
+                   replay_sample)
 from .games import game_from_id
 from .games.base import Game, GameState, legal_masks
 from .trainer import (TrainedAgent, checked_share_mode, fill_shared,
@@ -93,8 +94,8 @@ class SmctsSource:
         """Values ``(k, N)`` and per-player legal policies ``(k, N,
         A_max)`` of the non-terminal ``states``, from one stacked policy
         pass and one stacked value pass."""
-        obs = [[game.observe(s, p) for p in range(game.num_players)]
-               for s in states]
+        obs = {p: [game.observe(s, p) for s in states]
+               for p in range(game.num_players)}
         return (self.agent.observed_value(obs),
                 self.agent.policies(states, obs))
 
@@ -126,22 +127,23 @@ class SmctsAgent(TrainedAgent):
         return [([players[i] for i in ix], stack, models[0].codec.centers)
                 for ix, stack in stack_by_shape([m.net for m in models])]
 
-    def observed_value(self, obs: list) -> np.ndarray:
-        """Per-player values ``(k, N)`` of the states that player ``p``
-        observes as ``obs[i][p]``, from one stacked pass per
-        value-network shape; players without a network are filled by the
-        share mode. Each expectation is a single-row product,
-        ``(1, bins) @ centers``, as for one state alone."""
-        out = np.full((len(obs), self.game.num_players), 0.5)
+    def observed_value(self, obs: dict) -> np.ndarray:
+        """Per-player values ``(k, N)`` of the k states that player ``p``
+        observes as ``obs[p]``, from one stacked pass per value-network
+        shape; players without a network are filled by the share mode.
+        Each expectation is a single-row product, ``(1, bins) @
+        centers``, as for one state alone."""
+        out = np.full((len(obs[0]), self.game.num_players), 0.5)
         for players, stack, centers in self._value_stacks:
-            support = stack.forward([[o[p] for o in obs] for p in players])
+            support = stack.forward([obs[p] for p in players])
             out[:, players] = (support[..., None, :] @ centers)[..., 0].T
         return fill_shared(out, self.share_mode)
 
-    def play_rows(self, game: Game, state: GameState,
-                  rng: np.random.Generator) -> np.ndarray:
-        return smcts_search(game, state, SmctsSource(self),
-                            self.eval_simulations, rng)[1]
+    def play_rows(self, game: Game, state: GameState, player: int,
+                  rng: np.random.Generator) -> tuple:
+        return (smcts_search(game, state, SmctsSource(self),
+                             self.eval_simulations, rng)[1],
+                range(game.num_players))
 
 
 def smcts_search(game: Game, state: GameState, source, simulations: int,
@@ -160,34 +162,23 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
     interior leaves keep the source's value estimate. Root policies are
     the marginal child-visit distributions (:func:`visit_policies`).
 
-    A new non-terminal node is pending until a descent steps onto it or
-    the last simulation ends; then every pending node is predicted in
-    one ``source.predict`` call. Descent reads only CDF rows, so it makes
-    the same draws as it would with each node predicted when it is
-    made. The backups are replayed in simulation order after the last
-    prediction, so every node takes the same float operations: a new
-    leaf is first visited by its own simulation.
+    A new non-terminal node is pending (:class:`~equilearn.data.PendingNodes`)
+    until a descent steps onto it or the last simulation ends. The
+    backups are replayed in simulation order after the last prediction,
+    so every node takes the same float operations: a new leaf is first
+    visited by its own simulation.
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
     n = game.num_players
-    pending = []
+    pending = PendingNodes(game, source)
 
     def make_node(s):
         if s.terminal:
             return TreeNode(state=s, value=_sigmoid(game.terminal_returns(s)),
                             cdf=None, visit_count=0)
-        node = TreeNode(state=s, value=None, cdf=None, visit_count=0)
-        pending.append(node)
-        return node
-
-    def flush():
-        values, policies = source.predict(game,
-                                          [node.state for node in pending])
-        for node, value, cdf in zip(pending, values, cdf_rows(policies)):
-            node.value = value
-            node.cdf = cdf
-        pending.clear()
+        return pending.add(TreeNode(state=s, value=None, cdf=None,
+                                    visit_count=0))
 
     root = make_node(state)
     paths = []
@@ -195,8 +186,7 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
         node = root
         path = [root]
         while not node.state.terminal:
-            if node.cdf is None:
-                flush()
+            pending.ready(node)
             joint = tuple(draw_rows(node.cdf, rng.random((n, 1))).tolist())
             child = node.children.get(joint)
             if child is None:
@@ -207,8 +197,7 @@ def smcts_search(game: Game, state: GameState, source, simulations: int,
             node = child
             path.append(node)
         paths.append(path)
-    if pending:
-        flush()
+    pending.flush()
     for path in paths:
         leaf_value = path[-1].value
         for node in path:

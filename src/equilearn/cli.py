@@ -66,9 +66,6 @@ def _common_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--game", help="override the game id")
     p.add_argument("--out-dir", help="override the output directory")
-    p.add_argument("--sequential", action="store_true",
-                   help="deterministic sequential evaluation (the only "
-                        "execution mode; accepted for explicitness)")
 
 
 def _training_log_tsv(rows) -> str:

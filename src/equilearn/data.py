@@ -20,7 +20,7 @@ class TreeNode:
     """A state's node in a rollout tree or a search."""
     state: GameState
     value: np.ndarray | None             # per-player value estimate; None
-                                         # while a search node is pending
+                                         # while the node is pending
     cdf: np.ndarray | None               # (N, A_max) per-player CDF rows;
                                          # None at a terminal or pending
     visit_count: int = 1
@@ -66,26 +66,44 @@ class UniformPolicySource:
                 masks / np.add.reduce(masks, axis=-1, keepdims=True))
 
 
-def _node_for(tree: GameTree, state: GameState, source) -> tuple:
-    """Get or create the node for ``state``; returns (node, created).
+class PendingNodes:
+    """New non-terminal rollout or search nodes, each pending (value and
+    CDF rows None) until it is predicted together with every other
+    pending node in one ``source.predict`` call (:meth:`flush`).
 
-    A new non-terminal node keeps the source's legal policies as
-    per-player CDF rows.
+    Rollouts and the search flush when a walk steps onto a pending node
+    (:meth:`ready`) and when the last walk ends. A walk reads only the
+    CDF rows of the nodes it steps onto, so it makes the same draws as
+    it would with each node predicted when it is made; and a source
+    gives a state the same bits in any batch, so every node gets the
+    same value and rows.
     """
-    layer = tree.layers[state.timestep]
-    key = state.key()
-    node = layer.get(key)
-    if node is not None:
-        return node, False
-    game = tree.game
-    if state.terminal:
-        value, cdf = game.terminal_returns(state), None
-    else:
-        values, policies = source.predict(game, [state])
-        value, cdf = values[0], cdf_rows(policies[0])
-    node = TreeNode(state=state, value=value, cdf=cdf)
-    layer[key] = node
-    return node, True
+
+    def __init__(self, game: Game, source):
+        self.game = game
+        self.source = source
+        self.nodes: list[TreeNode] = []
+
+    def add(self, node: TreeNode) -> TreeNode:
+        self.nodes.append(node)
+        return node
+
+    def ready(self, node: TreeNode):
+        """Flush if the non-terminal ``node`` is still pending."""
+        if node.cdf is None:
+            self.flush()
+
+    def flush(self):
+        """Predict every pending node in one call: its values, and its
+        legal policies kept as per-player CDF rows."""
+        if not self.nodes:
+            return
+        values, policies = self.source.predict(
+            self.game, [node.state for node in self.nodes])
+        for node, value, cdf in zip(self.nodes, values, cdf_rows(policies)):
+            node.value = value
+            node.cdf = cdf
+        self.nodes.clear()
 
 
 def _sample_action(game, node, player, randomized, rng) -> int:
@@ -107,6 +125,11 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
     within a layer merge into one node; visit counts increment along the
     walk.
 
+    A new non-terminal node stays pending (:class:`PendingNodes`) until
+    a walk steps onto it or the last simulation ends, so the source
+    predicts many nodes per call; the tree, its values and rows, and the
+    generator's stream are those of predicting each node when it is made.
+
     ``randomize`` selects partially random rollouts: ``None`` keeps all
     players on-policy, a float flags each player independently with
     that probability per trajectory, and a boolean sequence fixes the
@@ -117,7 +140,25 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
     if rng is None:
         rng = np.random.default_rng()
     tree = GameTree(game)
+    pending = PendingNodes(game, source)
     n = game.num_players
+
+    def visit(state: GameState) -> TreeNode:
+        """The node for ``state``: a new one, pending unless terminal, or
+        a merged one visited again."""
+        layer = tree.layers[state.timestep]
+        key = state.key()
+        node = layer.get(key)
+        if node is not None:
+            node.visit_count += 1
+        elif state.terminal:
+            node = layer[key] = TreeNode(
+                state=state, value=game.terminal_returns(state), cdf=None)
+        else:
+            node = layer[key] = pending.add(
+                TreeNode(state=state, value=None, cdf=None))
+        return node
+
     for _ in range(num_sims):
         start = game.sample_start(rng)
         if randomize is None:
@@ -126,10 +167,9 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
             random_players = list(rng.random(n) < randomize)
         else:
             random_players = list(randomize)
-        node, created = _node_for(tree, start, source)
-        if not created:
-            node.visit_count += 1
+        node = visit(start)
         while not node.state.terminal:
+            pending.ready(node)
             joint = tuple(_sample_action(game, node, p, random_players[p],
                                          rng) for p in range(n))
             child = node.children.get(joint)
@@ -137,12 +177,10 @@ def generate_tree(game: Game, source, num_sims: int, randomize=None,
                 child.visit_count += 1
                 node = child
                 continue
-            result = game.step(node.state, joint)
-            child, created = _node_for(tree, result.next_state, source)
-            if not created:
-                child.visit_count += 1  # merged node
-            node.children[joint] = child
+            node.children[joint] = visit(game.step(node.state, joint)
+                                         .next_state)
             break  # a new edge is a leaf: the simulation ends here
+    pending.flush()
     return tree
 
 

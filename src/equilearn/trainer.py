@@ -95,7 +95,10 @@ class TabularValueSource:
 class MlpValueSource:
     """Per-player values of every joint action of layer states, from
     per-player value networks, or one shared network whose output maps
-    to the other players by the game's reward symmetry."""
+    to the other players by the game's reward symmetry. Each network
+    values a batch of states in one :meth:`QValueModel.joint_values`
+    call: one trunk pass per state, whatever the number of joint
+    actions, and a state's values are the same bits in any batch."""
 
     def __init__(self, game: Game, models: dict):
         self.share_mode = checked_share_mode(game, models)
@@ -104,14 +107,10 @@ class MlpValueSource:
     def joint_values(self, game, states):
         """Values in [0, 1], shape (len(states), prod(A), N)."""
         joints = joint_actions(game.spec.action_counts)
-        n = game.num_players
-        b, j = len(states), len(joints)
-        out = np.empty((b, j, n))
-        joints_rep = np.tile(joints, (b, 1))
+        out = np.empty((len(states), len(joints), game.num_players))
         for p, model in self.models.items():
             obs = np.stack([game.observe(s, p) for s in states])
-            obs_rep = np.repeat(obs, j, axis=0)
-            out[:, :, p] = model.predict(obs_rep, joints_rep).reshape(b, j)
+            out[:, :, p] = model.joint_values(obs, joints)
         return fill_shared(out, self.share_mode)
 
 
@@ -232,56 +231,70 @@ class TrainedAgent:
         self.name = name
         self.training_log: list = []
         self.gate_score: float | None = None
-        self._served: tuple | None = None      # (state, rng, rows, players)
+        self._stacks_by_players: dict = {}     # player tuple -> stacks
+        # (state, rng, rows, covered players not served yet)
+        self._served: tuple | None = None
 
     def policy(self, state: GameState, player: int) -> np.ndarray:
-        obs = [self.game.observe(state, p)
-               for p in range(self.game.num_players)]
-        return self.policies([state], [obs])[
+        obs = {player: [self.game.observe(state, player)]}
+        return self.policies([state], obs)[
             0, player, :self.game.spec.action_counts[player]]
 
-    @functools.cached_property
-    def _policy_stacks(self) -> list:
-        return stack_by_shape([m.net for m in self.policy_models])
+    def _stacks(self, players: tuple) -> list:
+        """``stack_by_shape`` of ``players``' policy networks (indices
+        into ``players``), built at first use for each player tuple."""
+        stacks = self._stacks_by_players.get(players)
+        if stacks is None:
+            stacks = self._stacks_by_players[players] = stack_by_shape(
+                [self.policy_models[p].net for p in players])
+        return stacks
 
-    def policies(self, states: list, obs: list) -> np.ndarray:
-        """Every player's legal policy for each of ``states``, from one
-        stacked pass per policy-network shape and one
-        :func:`legal_rows_by_count` call; ``obs[i][p]`` is player ``p``'s
-        observation of ``states[i]``. Returns ``(k, N, A_max)`` rows,
-        zero past each player's action count."""
+    def policies(self, states: list, obs: dict) -> np.ndarray:
+        """Legal policies for each of ``states`` of the players that
+        ``obs`` maps, each to its observations of ``states`` (``obs[p][i]``
+        is player ``p``'s of ``states[i]``), from one stacked pass per
+        policy-network shape and one :func:`legal_rows_by_count` call.
+        Returns ``(k, N, A_max)`` rows, zero past each player's action
+        count and for every player ``obs`` does not map."""
+        players = tuple(obs)
+        counts = self.game.spec.action_counts
         masks = legal_masks(self.game, states)
-        weights = np.zeros(masks.shape)
-        for players, stack in self._policy_stacks:
-            out = stack.forward([[o[p] for o in obs] for p in players])
-            weights[:, players, :out.shape[-1]] = out.transpose(1, 0, 2)
-        return legal_rows_by_count(weights, masks,
-                                   self.game.spec.action_counts)
+        weights = np.zeros((len(states), len(players), masks.shape[-1]))
+        for ix, stack in self._stacks(players):
+            out = stack.forward([obs[players[i]] for i in ix])
+            weights[:, ix, :out.shape[-1]] = out.transpose(1, 0, 2)
+        rows = np.zeros(masks.shape)
+        rows[:, players] = legal_rows_by_count(
+            weights, masks[:, players], [counts[p] for p in players])
+        return rows
 
-    def play_rows(self, game: Game, state: GameState,
-                  rng: np.random.Generator) -> np.ndarray:
+    def play_rows(self, game: Game, state: GameState, player: int,
+                  rng: np.random.Generator) -> tuple:
         """The ``(N, A_max)`` rows that :meth:`act` draws from on
-        ``state``: here the policy networks' legal policies; a search
-        agent searches."""
-        obs = [game.observe(state, p) for p in range(game.num_players)]
-        return self.policies([state], [obs])[0]
+        ``state`` when asked for ``player``, and the players they serve:
+        here the legal policies of ``player``'s side (``game.teams``),
+        the other rows zero; a search agent searches and serves every
+        player."""
+        side = next(team for team in game.teams if player in team)
+        obs = {p: [game.observe(state, p)] for p in side}
+        return self.policies([state], obs)[0], side
 
     def act(self, game: Game, state: GameState, player: int,
             rng: np.random.Generator) -> int:
-        """Draw ``player``'s action from ``state``'s :meth:`play_rows`.
+        """Draw ``player``'s action from :meth:`play_rows` on ``state``.
 
-        The rows of one state serve every player the agent controls on
-        it: they are served again only to a player not served yet, on
-        the same state object and drawing from the same generator. Every
-        match has its own generator, so no match or replay reuses rows
-        made in another.
+        One computation of rows serves each player it covers once: the
+        rows are served again only to a covered player not served yet,
+        on the same state object and drawing from the same generator.
+        Every match has its own generator, so no match or replay reuses
+        rows made in another.
         """
         served = self._served
         if (served is None or served[0] is not state or served[1] is not rng
-                or player in served[3]):
-            served = self._served = (state, rng,
-                                     self.play_rows(game, state, rng), set())
-        served[3].add(player)
+                or player not in served[3]):
+            rows, players = self.play_rows(game, state, player, rng)
+            served = self._served = (state, rng, rows, set(players))
+        served[3].remove(player)
         return sample_index(served[2][player], rng)
 
 
@@ -297,23 +310,28 @@ class AgentPolicySource:
         """Values ``(k, N)`` and per-player legal policies ``(k, N,
         A_max)`` of the non-terminal ``states``.
 
-        Joint values are evaluated one state at a time: the bits of
-        ``joint_values`` depend on how many rows its products take.
+        Each timestep's states are valued in one ``joint_values`` call
+        and weighted by one ``(1, J) @ (J, N)`` product per state, so a
+        state gets the same bits in any batch.
         """
         n = game.num_players
         counts = game.spec.action_counts
-        obs = [[game.observe(s, p) for p in range(n)] for s in states]
+        obs = {p: [game.observe(s, p) for s in states] for p in range(n)}
         weights = self.agent.policies(states, obs)
+        # joint probabilities in the C order of joint_actions
+        probs = functools.reduce(
+            lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(len(x), -1),
+            [weights[:, p, :a] for p, a in enumerate(counts)])
+        probs = probs / np.add.reduce(probs, axis=1, keepdims=True)
         values = np.full((len(states), n), 0.5)
+        by_timestep: dict = {}
         for i, state in enumerate(states):
-            source = self.agent.value_models.get(state.timestep)
-            if source is None:
-                continue
-            vals = source.joint_values(game, [state])[0]       # (J, N)
-            # joint probabilities in the C order of joint_actions
-            probs = functools.reduce(np.multiply.outer, [
-                w[:a] for w, a in zip(weights[i], counts)]).ravel()
-            values[i] = (vals * (probs / probs.sum())[:, None]).sum(axis=0)
+            by_timestep.setdefault(state.timestep, []).append(i)
+        for h, rows in by_timestep.items():
+            source = self.agent.value_models.get(h)
+            if source is not None:
+                vals = source.joint_values(game, [states[i] for i in rows])
+                values[rows] = (probs[rows, None, :] @ vals)[:, 0]
         return values, weights
 
 

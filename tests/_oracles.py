@@ -10,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilearn.bandit import default_schedule, sample_index
+from equilearn.bandit import cdf_rows, default_schedule, draw_rows, \
+    sample_index
 from equilearn.cce import ma_exp_ix_batch, normalize_losses
+from equilearn.data import GameTree, TreeNode
 from equilearn.trainer import fill_shared, value_players
 
 
@@ -343,3 +345,81 @@ def sequential_smcts_search(game, state, source, simulations, rng):
             counts[joint[p]] += child.visits
         policies.append(legal_policy(counts, game.legal_actions(state, p)))
     return root.value, policies
+
+
+def q_predict(model, obs, joints):
+    """``QValueModel.predict`` as it was before the factored head: the
+    scalar values of row-aligned observations and joint actions, each
+    row a full trunk and head pass over ``[rep; encoding]``. The factored
+    ``QValueModel.joint_values`` must match it to the last few bits."""
+    support = model.net.forward(obs, model.encode_actions(joints))
+    return support @ model.codec.centers
+
+
+def _node_for(tree, state, source):
+    """Get or create the node for ``state``; returns (node, created).
+
+    A new non-terminal node keeps the source's legal policies as
+    per-player CDF rows.
+    """
+    layer = tree.layers[state.timestep]
+    key = state.key()
+    node = layer.get(key)
+    if node is not None:
+        return node, False
+    game = tree.game
+    if state.terminal:
+        value, cdf = game.terminal_returns(state), None
+    else:
+        values, policies = source.predict(game, [state])
+        value, cdf = values[0], cdf_rows(policies[0])
+    node = TreeNode(state=state, value=value, cdf=cdf)
+    layer[key] = node
+    return node, True
+
+
+def _sample_action(game, node, player, randomized, rng):
+    if randomized:
+        legal = game.legal_actions(node.state, player)
+        return int(legal[rng.integers(len(legal))])
+    return int(draw_rows(node.cdf[player], rng.random()))
+
+
+def eager_generate_tree(game, source, num_sims, randomize=None, rng=None):
+    """``data.generate_tree`` as it was before deferred predictions: each
+    new node is predicted when it is made, one state per
+    ``source.predict`` call. Verbatim; the deferred tree must match its
+    nodes, visit counts, values, CDF rows, children and generator stream
+    byte for byte."""
+    if num_sims < 1:
+        raise ValueError("need at least one simulation")
+    if rng is None:
+        rng = np.random.default_rng()
+    tree = GameTree(game)
+    n = game.num_players
+    for _ in range(num_sims):
+        start = game.sample_start(rng)
+        if randomize is None:
+            random_players = [False] * n
+        elif isinstance(randomize, float):
+            random_players = list(rng.random(n) < randomize)
+        else:
+            random_players = list(randomize)
+        node, created = _node_for(tree, start, source)
+        if not created:
+            node.visit_count += 1
+        while not node.state.terminal:
+            joint = tuple(_sample_action(game, node, p, random_players[p],
+                                         rng) for p in range(n))
+            child = node.children.get(joint)
+            if child is not None:
+                child.visit_count += 1
+                node = child
+                continue
+            result = game.step(node.state, joint)
+            child, created = _node_for(tree, result.next_state, source)
+            if not created:
+                child.visit_count += 1  # merged node
+            node.children[joint] = child
+            break  # a new edge is a leaf: the simulation ends here
+    return tree

@@ -270,14 +270,13 @@ def test_criterion_8_numerical_suite(tmp_path):
     save_model(p2, restored, game="matrix:mp", player=0)
     ckpt_ok = open(p1, "rb").read() == open(p2, "rb").read()
 
-    # fixed-seed end-to-end determinism in sequential mode
+    # fixed-seed end-to-end determinism
     def run(out_dir):
         env = dict(os.environ, CCE_LOG="WARNING",
                    PYTHONHASHSEED="0")
         subprocess.run(
             [sys.executable, "-m", "equilearn.cli", "train",
              "--game", "matrix:mp", "--out-dir", out_dir, "--seed", "7",
-             "--sequential",
              "--set", "train.outer_iters=1",
              "--set", "train.trajectories=200",
              "--set", "train.cv_trees=1", "--set", "train.gate_matches=4",
@@ -300,7 +299,7 @@ def test_criterion_8_numerical_suite(tmp_path):
         8, ok,
         f"gradient rel err {worst:.2e} <= 1e-3: {grad_ok}; codec "
         f"roundtrip {codec_err:.1e} <= 1e-9: {codec_ok}; checkpoint "
-        f"bit-exact: {ckpt_ok}; two sequential runs byte-identical: "
+        f"bit-exact: {ckpt_ok}; two fixed-seed runs byte-identical: "
         f"{determinism_ok} ({elapsed:.0f}s)")
     assert ok, line
 

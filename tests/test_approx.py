@@ -237,8 +237,7 @@ def test_q_value_model_fits_simple_function():
     joints = [tuple(j) for j in rng.integers(0, 2, size=(200, 2))]
     values = np.array([0.8 if j == (1, 1) else 0.2 for j in joints])
     model.fit(obs, joints, values, epochs=60, batch_size=32, rng=rng)
-    pred_hi = model.predict(obs[:20], [(1, 1)] * 20)
-    pred_lo = model.predict(obs[:20], [(0, 0)] * 20)
+    pred_hi, pred_lo = model.joint_values(obs[:20], [(1, 1), (0, 0)]).T
     assert pred_hi.mean() > pred_lo.mean() + 0.3
 
 

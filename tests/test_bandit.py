@@ -19,7 +19,7 @@ from equilearn.bandit import (IxParams, RegretTrace, default_schedule,
                               sample_index)
 from equilearn.baseline import smcts_search
 from equilearn.cce import ma_exp_ix_batch
-from equilearn.data import _node_for, _sample_action
+from equilearn.data import PendingNodes, TreeNode, _sample_action
 from equilearn.trainer import TrainedAgent
 
 
@@ -292,17 +292,18 @@ def _one_player(game, row, **attrs):
 def _agent_draw(game, row, rng):
     """A trained agent's action in a one-player game whose one policy
     network outputs ``row``."""
-    game = _one_player(game, row, observe=game.observe)
+    game = _one_player(game, row, observe=game.observe, teams=((0,),))
     return TrainedAgent(game, [_FixedPolicy(row)], {}).act(game, None, 0,
                                                            rng)
 
 
 def _rollout_node(game, row):
     """A rollout node built as tree generation builds it."""
-    tree = SimpleNamespace(game=_one_player(game, row), layers=[{}])
-    state = SimpleNamespace(timestep=0, terminal=False, key=lambda: "s")
-    node, created = _node_for(tree, state, _row_source(row))
-    assert created
+    pending = PendingNodes(_one_player(game, row), _row_source(row))
+    node = pending.add(TreeNode(state=SimpleNamespace(timestep=0,
+                                                      terminal=False),
+                                value=None, cdf=None))
+    pending.ready(node)
     return node
 
 

@@ -9,6 +9,7 @@ from _oracles import (PerPlayerAgent, PerPlayerSmctsSource, legal_policy,
 
 from equilearn import baseline
 from equilearn.approx import PolicyModel, SupportCodec, ValueModel
+from equilearn.approx.models import ModelStack
 from equilearn.baseline import (SmctsAgent, SmctsSource, backup_tree_values,
                                 smcts_search, smcts_train, tree_to_replay,
                                 visit_policies)
@@ -20,7 +21,7 @@ from equilearn.games.base import legal_masks
 from equilearn.games.goofspiel import GoofspielGame
 from equilearn.games.matrix import ChainGame, MatrixGame, matching_pennies
 from equilearn.games.pursuit import PursuitGame
-from equilearn.harness import play_paired, run_match
+from equilearn.harness import RandomAgent, play_paired, run_match
 from equilearn.trainer import (AgentPolicySource, TrainedAgent,
                                share_mode_for, train)
 
@@ -184,8 +185,8 @@ def test_smcts_train_smoke():
     distilled = TrainedAgent(game, agent.policy_models, {})
     a = distilled.act(game, state, 1, np.random.default_rng(1))
     assert a in game.legal_actions(state, 1)
-    obs = [game.observe(state, p) for p in range(game.num_players)]
-    value = agent.observed_value([obs])[0]
+    obs = {p: [game.observe(state, p)] for p in range(game.num_players)}
+    value = agent.observed_value(obs)[0]
     assert value.shape == (2,)
 
 
@@ -227,18 +228,20 @@ def test_smcts_agent_rejects_two_codecs():
         SmctsAgent(game, values, policies)
 
 
-def _check_each_state_once(make, shared, passes):
+def _check_each_state_once(make, shared, passes, shared_passes):
     """``passes`` gets the state of each computation of an agent's play
     rows. In a pursuit match the two-pursuer side computes once per
-    state, and an agent playing every side computes each state once; a
-    player asked again on the same state gets a fresh computation."""
+    state, and an agent playing every side computes each state
+    ``shared_passes`` times (once, or once per side when its rows cover
+    one side); a player asked again on the same state gets a fresh
+    computation."""
     game = PursuitGame()
     pursuers = make(game, 0, "pursuers")
     evader = pursuers if shared else make(game, 100, "evader")
     record = run_match(game, (pursuers, evader), seed=0)
     assert record.forfeit_by is None
-    sides = 1 if shared else 2
-    assert len(passes) == sides * game.horizon
+    per_state = shared_passes if shared else len(game.teams)
+    assert len(passes) == per_state * game.horizon
     assert len({id(s) for s in passes}) == game.horizon
     passes.clear()
     state, rng = game.start_states()[0][0], np.random.default_rng(0)
@@ -257,12 +260,14 @@ def test_smcts_agent_searches_each_state_once(monkeypatch, shared):
         return smcts_search(*args, **kwargs)
 
     monkeypatch.setattr(baseline, "smcts_search", counting)
-    _check_each_state_once(_small_agent, shared, searches)
+    _check_each_state_once(_small_agent, shared, searches, 1)
 
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_trained_agent_predicts_each_state_once(monkeypatch, shared):
-    """The learner computes its play rows by one ``policies`` pass."""
+    """The learner computes its play rows by one ``policies`` pass over
+    the asked player's side, so an agent on every side makes one pass
+    per state and side."""
     passes = []
     policies = TrainedAgent.policies
 
@@ -271,7 +276,26 @@ def test_trained_agent_predicts_each_state_once(monkeypatch, shared):
         return policies(self, states, obs)
 
     monkeypatch.setattr(TrainedAgent, "policies", counting)
-    _check_each_state_once(_small_learner, shared, passes)
+    _check_each_state_once(_small_learner, shared, passes, 2)
+
+
+def test_goofspiel_learner_makes_one_row_passes(monkeypatch):
+    """A Goofspiel-4 side is one player, so each of a learner's moves
+    runs one stacked pass of that player's network on one row."""
+    game = game_from_id("goofspiel:4")
+    learner = _small_learner(game, 0, "nncce")
+    shapes = []
+    forward = ModelStack.forward
+
+    def recording(self, observations):
+        shapes.append(np.shape(observations)[:2])
+        return forward(self, observations)
+
+    monkeypatch.setattr(ModelStack, "forward", recording)
+    records = play_paired(game, learner, RandomAgent("random"), n_pairs=2,
+                          base_seed=0)
+    assert all(r.forfeit_by is None for r in records)
+    assert shapes == [(1, 1)] * (len(records) * game.horizon)
 
 
 def test_learner_match_records_follow_the_per_player_rule():
@@ -476,7 +500,7 @@ def test_stacked_predictions_match_per_player_forwards(tmp_path, game_id,
                                  max(game.spec.action_counts))
         assert values.tobytes() == want_values.tobytes()
         assert weights.tobytes() == want_weights.tobytes()
-    assert len(agent._policy_stacks) == stacks
+    assert len(agent._stacks(tuple(range(game.num_players)))) == stacks
     assert len(agent._value_stacks) == 1
 
     rngs = np.random.default_rng(7), np.random.default_rng(7)

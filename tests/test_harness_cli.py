@@ -237,6 +237,8 @@ def test_cli_usage_errors(tmp_path):
     assert main(["head2head", "--agent-a", "wat:xyz"]) == 1
     # the config file is the positional argument only
     assert main(["train", "--config", str(path)]) == 1
+    # evaluation is sequential only; there is no flag to ask for it
+    assert main(["train", "--sequential", str(path)]) == 1
     # a tournament's agents come only from --agents
     assert main(["tournament", "--game", "matrix:mp"]) == 1
 

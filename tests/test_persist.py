@@ -64,9 +64,9 @@ def test_smcts_agent_roundtrip(tmp_path):
     restored = load_smcts_agent(str(tmp_path), eval_simulations=10)
     assert restored.game.spec.horizon == 2
     state = restored.game.start_states()[0][0]
-    obs = [restored.game.observe(state, p) for p in range(2)]
-    np.testing.assert_allclose(restored.observed_value([obs]),
-                               agent.observed_value([obs]), atol=1e-4)
+    obs = {p: [restored.game.observe(state, p)] for p in range(2)}
+    np.testing.assert_allclose(restored.observed_value(obs),
+                               agent.observed_value(obs), atol=1e-4)
     for p in range(2):
         np.testing.assert_allclose(restored.policy(state, p),
                                    agent.policy(state, p), atol=1e-4)

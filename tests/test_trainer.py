@@ -23,6 +23,8 @@ from equilearn.trainer import (AgentPolicySource, GateDecision,
                                share_mode_for, train, validation_gate,
                                value_players)
 
+from _oracles import eager_generate_tree, q_predict
+
 FAST_NET = {
     "net.q_hidden": "8", "net.q_rep": "4", "net.policy_hidden": "8",
     "net.policy_rep": "4", "net.learning_rate": "1e-3",
@@ -79,13 +81,13 @@ def _tiny_policies(game):
             for p in range(game.num_players)]
 
 
-def _mlp_source(game):
+def _mlp_source(game, hidden=(6,)):
     codec = SupportCodec(num_bins=5)
     players = value_players(share_mode_for(game), game.num_players)
     return MlpValueSource(game, {p: QValueModel(
         game.observation_size, game.spec.action_counts, codec,
-        trunk_hidden=(6,), rep_size=4, head_hidden=(6,), dropout_rate=0.0,
-        seed=p) for p in players})
+        trunk_hidden=hidden, rep_size=4, head_hidden=hidden,
+        dropout_rate=0.0, seed=p) for p in players})
 
 
 def _tabular_source(game):
@@ -155,10 +157,124 @@ def test_joint_values_rows_follow_product_order():
                                       game.spec.action_counts)))
     for row in (0, 7, 64, 124):
         for p in range(game.num_players):
-            single = source.models[p].predict(game.observe(state, p),
-                                              [joints[row]])
+            single = q_predict(source.models[p], game.observe(state, p),
+                               [joints[row]])
             assert vals[row, p] == pytest.approx(float(single[0]),
                                                  rel=1e-12)
+
+
+def _nonterminal_states(game, sims=300):
+    tree = generate_tree(game, UniformPolicySource(), sims,
+                         rng=np.random.default_rng(0))
+    return [node.state for layer in tree.layers for node in layer.values()
+            if not node.state.terminal]
+
+
+@pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4"])
+def test_joint_values_of_a_state_are_the_same_bits_in_any_batch(game_id):
+    """Every state's joint values are the same bits in one call on all
+    of a tree's states, in batches of 1 to 25 and alone."""
+    game = game_from_id(game_id)
+    source = _mlp_source(game, (16, 16))
+    states = _nonterminal_states(game)
+    whole = source.joint_values(game, states)
+    sizes, start = itertools.cycle([1, 2, 25, 7]), 0
+    while start < len(states):
+        batch = states[start:start + next(sizes)]
+        got = source.joint_values(game, batch)
+        assert got.tobytes() == whole[start:start + len(batch)].tobytes()
+        start += len(batch)
+    for i, state in enumerate(states):
+        assert (source.joint_values(game, [state]).tobytes()
+                == whole[i:i + 1].tobytes())
+
+
+@pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4"])
+def test_factored_joint_values_match_row_by_row_reference(game_id):
+    """The factored head gives every (state, joint action) row the value
+    of a full trunk and head pass over that row, within rel 1e-12."""
+    game = game_from_id(game_id)
+    source = _mlp_source(game, (16, 16))
+    states = _nonterminal_states(game)[::7]
+    joints = list(itertools.product(*(range(a) for a in
+                                      game.spec.action_counts)))
+    vals = source.joint_values(game, states)
+    for p, model in source.models.items():
+        obs = np.stack([game.observe(s, p) for s in states])
+        want = q_predict(model, np.repeat(obs, len(joints), axis=0),
+                         joints * len(states))
+        np.testing.assert_allclose(vals[:, :, p].ravel(), want, rtol=1e-12,
+                                   atol=0)
+
+
+def _rollout_sources(game):
+    """Prediction sources of every kind that rollouts use: uniform, a
+    learner over MLP and over tabular layer values, and the search
+    agent's networks."""
+    def learner(source):
+        return AgentPolicySource(TrainedAgent(
+            game, _tiny_policies(game),
+            {h: source for h in range(game.horizon)}))
+
+    values = {p: ValueModel(game.observation_size, SupportCodec(num_bins=5),
+                            trunk_hidden=(6,), rep_size=4, head_hidden=(6,),
+                            dropout_rate=0.0, seed=p)
+              for p in value_players(share_mode_for(game),
+                                     game.num_players)}
+    return {"uniform": UniformPolicySource(),
+            "mlp": learner(_mlp_source(game)),
+            "tabular": learner(_tabular_source(game)),
+            "smcts": baseline.SmctsSource(baseline.SmctsAgent(
+                game, values, _tiny_policies(game)))}
+
+
+def _tree_record(tree):
+    """Every node, layer by layer in insertion order: key, visit count,
+    value and CDF bytes, and children."""
+    return [(key, node.visit_count, np.asarray(node.value).tobytes(),
+             None if node.cdf is None else node.cdf.tobytes(),
+             [(joint, child.state.key())
+              for joint, child in node.children.items()])
+            for layer in tree.layers for key, node in layer.items()]
+
+
+@pytest.mark.parametrize("source_name", ["uniform", "mlp", "tabular",
+                                         "smcts"])
+@pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4"])
+def test_deferred_tree_matches_eager_tree(game_id, source_name):
+    """Deferred predictions build the tree that predicting each node when
+    it is made builds, byte for byte, from the same generator stream."""
+    game = game_from_id(game_id)
+    source = _rollout_sources(game)[source_name]
+    rngs = np.random.default_rng(3), np.random.default_rng(3)
+    trees = (generate_tree(game, source, 300, randomize=0.5, rng=rngs[0]),
+             eager_generate_tree(game, source, 300, randomize=0.5,
+                                 rng=rngs[1]))
+    assert _tree_record(trees[0]) == _tree_record(trees[1])
+    assert trees[0].node_count() > 100
+    assert rngs[0].random() == rngs[1].random()
+
+
+def test_generate_tree_predicts_pending_nodes_together():
+    """Rollouts predict their new nodes in fewer ``predict`` calls than
+    nodes, and predict each node once."""
+    game = game_from_id("pursuit")
+    inner = _rollout_sources(game)["mlp"]
+    predicted = []
+    batches = []
+
+    class Counting:
+        def predict(self, game, states):
+            batches.append(len(states))
+            predicted.extend(id(s) for s in states)
+            return inner.predict(game, states)
+
+    tree = generate_tree(game, Counting(), 300, randomize=0.5,
+                         rng=np.random.default_rng(0))
+    nodes = [id(node.state) for layer in tree.layers
+             for node in layer.values() if not node.state.terminal]
+    assert sorted(predicted) == sorted(nodes)
+    assert len(batches) < len(nodes)
 
 
 def test_grounding_layer_keeps_saturated_terminal():
