@@ -16,6 +16,16 @@ import numpy as np
 from .codec import SupportCodec, scalar_to_support
 from .mlp import MlpModel, TrainingDivergedError, infer
 
+# Most state × joint rows that one block of QValueModel.joint_values's
+# head holds: 8 pursuit states (125 joints), 64 Goofspiel-4 states (16).
+JOINT_VALUE_BLOCK_ROWS = 1024
+
+
+def states_per_block(num_joints) -> int:
+    """Whole states in one block of ``QValueModel.joint_values``'s head:
+    as many as fit in ``JOINT_VALUE_BLOCK_ROWS`` rows, and at least one."""
+    return max(1, JOINT_VALUE_BLOCK_ROWS // num_joints)
+
 
 def _batches(n, batch_size, rng):
     order = rng.permutation(n)
@@ -199,11 +209,14 @@ class QValueModel:
 
         The head's first layer is affine over ``[rep; encoding]``, so it
         splits into a state part, ``rep @ W0[:r]``, and a per-joint
-        table, ``encoding @ W0[r:] + b0``, built once per call. The trunk
-        runs once per state as single-row products ``(B, 1, d)``, and
-        the later head layers as stacked ``(B, J, h)`` products, each
-        state's rows their own ``(J, h)`` product: a state's values are
-        the same bits whatever batch it sits in.
+        table, ``encoding @ W0[r:] + b0``. The trunk runs once per state
+        as single-row products ``(B, 1, d)`` and the table is built once
+        per call. The head then runs over blocks of whole states, at
+        most ``JOINT_VALUE_BLOCK_ROWS`` state × joint rows (at least one
+        state) each, so a call's memory is bounded whatever B is. Each
+        state's rows are their own ``(J, h)`` product in every layer: a
+        state's values are the same bits whatever batch or block it
+        sits in.
         """
         trunk, head = self.net.trunk, self.net.head
         obs = np.asarray(obs, dtype=float)
@@ -211,12 +224,17 @@ class QValueModel:
         rep = infer(trunk.weights, trunk.biases, obs[:, None, :], "linear")
         r = trunk.layer_dims[-1]
         w0 = head.weights[0]
-        h = rep @ w0[:r]
-        h = h + (self.encode_actions(joints) @ w0[r:] + head.biases[0])
-        if len(head.weights) > 1:
-            np.maximum(h, 0.0, out=h)
-        support = infer(head.weights[1:], head.biases[1:], h, head.head_kind)
-        return support @ self.codec.centers
+        table = self.encode_actions(joints) @ w0[r:] + head.biases[0]
+        out = np.empty((len(obs), len(table)))
+        step = states_per_block(len(table))
+        for lo in range(0, len(obs), step):
+            h = rep[lo:lo + step] @ w0[:r] + table
+            if len(head.weights) > 1:
+                np.maximum(h, 0.0, out=h)
+            support = infer(head.weights[1:], head.biases[1:], h,
+                            head.head_kind)
+            out[lo:lo + step] = support @ self.codec.centers
+        return out
 
     def fit(self, obs, joints, values, epochs, batch_size, rng):
         targets = scalar_to_support(self.codec,

@@ -98,7 +98,8 @@ class MlpValueSource:
     to the other players by the game's reward symmetry. Each network
     values a batch of states in one :meth:`QValueModel.joint_values`
     call: one trunk pass per state, whatever the number of joint
-    actions, and a state's values are the same bits in any batch."""
+    actions, the head in blocks of whole states of bounded size, and a
+    state's values are the same bits in any batch."""
 
     def __init__(self, game: Game, models: dict):
         self.share_mode = checked_share_mode(game, models)

@@ -1,13 +1,15 @@
 """Tests for the backward-layer training loop and its pieces."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equilearn import baseline, trainer
 from equilearn.approx import ComposedModel, PolicyModel, QValueModel, \
-    SupportCodec, ValueModel, fit_tabular
+    SupportCodec, ValueModel, fit_tabular, joint_actions
+from equilearn.approx.models import states_per_block
 from equilearn.cce import verify_cce
 from equilearn.config import Config
 from equilearn.data import GameTree, TreeNode, UniformPolicySource, \
@@ -173,10 +175,13 @@ def _nonterminal_states(game, sims=300):
 @pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4"])
 def test_joint_values_of_a_state_are_the_same_bits_in_any_batch(game_id):
     """Every state's joint values are the same bits in one call on all
-    of a tree's states, in batches of 1 to 25 and alone."""
+    of a tree's states, which spans at least three blocks of the head,
+    in batches of 1 to 25 and alone."""
     game = game_from_id(game_id)
     source = _mlp_source(game, (16, 16))
     states = _nonterminal_states(game)
+    per_block = states_per_block(int(np.prod(game.spec.action_counts)))
+    assert len(states) > 2 * per_block
     whole = source.joint_values(game, states)
     sizes, start = itertools.cycle([1, 2, 25, 7]), 0
     while start < len(states):
@@ -187,6 +192,29 @@ def test_joint_values_of_a_state_are_the_same_bits_in_any_batch(game_id):
     for i, state in enumerate(states):
         assert (source.joint_values(game, [state]).tobytes()
                 == whole[i:i + 1].tobytes())
+
+
+def test_joint_values_memory_is_bounded_per_call():
+    """One call on 400 pursuit states at ``pursuit_fast`` sizes (hidden
+    48, representation 16) traces under 4 MB: the head holds one block
+    of state × joint rows at a time, not the whole ``(B, J, h)``
+    array."""
+    game = game_from_id("pursuit")
+    model = QValueModel(game.observation_size, game.spec.action_counts,
+                        SupportCodec(), trunk_hidden=(48, 48), rep_size=16,
+                        head_hidden=(48, 48), dropout_rate=0.0, seed=0)
+    states = _nonterminal_states(game, sims=800)[:400]
+    assert len(states) == 400
+    obs = np.stack([game.observe(s, 0) for s in states])
+    joints = joint_actions(game.spec.action_counts)
+    tracemalloc.start()
+    try:
+        values = model.joint_values(obs, joints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (400, len(joints))
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("game_id", ["pursuit", "goofspiel:4"])
