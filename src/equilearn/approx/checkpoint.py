@@ -19,7 +19,7 @@ import numpy as np
 
 from ..harness import write_atomic
 from .codec import SupportCodec
-from .models import ComposedModel, PolicyModel, QValueModel, ValueModel
+from .models import PolicyModel, QValueModel, ValueModel
 
 MAGIC = b"CCEF"
 VERSION = 1
@@ -130,66 +130,47 @@ def load_checkpoint(path: str):
         return meta, arrays
 
 
-def _restore_net(net: ComposedModel, arrays):
-    params = net.parameter_arrays()
-    if len(params) != len(arrays):
-        raise ValueError("checkpoint parameter count mismatch")
-    for p, a in zip(params, arrays):
-        if p.shape != a.shape:
-            raise ValueError("checkpoint parameter shape mismatch")
-        p[...] = a.astype(np.float64)
+# model kind -> (class, its constructor's arguments after the observation
+# size, read off a checkpoint's metadata)
+MODEL_KINDS = {
+    "q": (QValueModel, lambda meta: (meta.action_counts, meta.codec)),
+    "policy": (PolicyModel, lambda meta: (meta.head_dims[-1],)),
+    "value": (ValueModel, lambda meta: (meta.codec,)),
+}
 
 
 def save_model(path: str, model, game: str = "", player: int = -1,
                timestep: int = -1):
-    """Persist a QValueModel, PolicyModel or ValueModel."""
-    if isinstance(model, QValueModel):
-        meta = CheckpointMeta(game=game, player=player, timestep=timestep,
-                              model_kind="q", head_kind="support",
-                              codec=model.codec,
-                              trunk_dims=model.net.trunk.layer_dims,
-                              head_dims=model.net.head.layer_dims,
-                              action_counts=model.action_counts)
-        net = model.net
-    elif isinstance(model, PolicyModel):
-        meta = CheckpointMeta(game=game, player=player, timestep=timestep,
-                              model_kind="policy", head_kind="policy",
-                              trunk_dims=model.net.trunk.layer_dims,
-                              head_dims=model.net.head.layer_dims)
-        net = model.net
-    elif isinstance(model, ValueModel):
-        meta = CheckpointMeta(game=game, player=player, timestep=timestep,
-                              model_kind="value", head_kind="support",
-                              codec=model.codec,
-                              trunk_dims=model.net.trunk.layer_dims,
-                              head_dims=model.net.head.layer_dims)
-        net = model.net
-    else:
+    """Persist a model of one of the :data:`MODEL_KINDS`; the metadata
+    block is read off the model."""
+    kind = next((k for k, (cls, _) in MODEL_KINDS.items()
+                 if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    net = model.net
+    meta = CheckpointMeta(game=game, player=player, timestep=timestep,
+                          model_kind=kind, head_kind=net.head_kind,
+                          codec=getattr(model, "codec", None),
+                          trunk_dims=net.trunk.layer_dims,
+                          head_dims=net.head.layer_dims,
+                          action_counts=getattr(model, "action_counts", ()))
     save_checkpoint(path, meta, net.parameter_arrays())
 
 
 def load_model(path: str):
     """Rebuild the model object saved by :func:`save_model`."""
     meta, arrays = load_checkpoint(path)
-    trunk_hidden = meta.trunk_dims[1:-1]
-    rep = meta.trunk_dims[-1]
-    head_hidden = meta.head_dims[1:-1]
-    if meta.model_kind == "q":
-        model = QValueModel(meta.trunk_dims[0], meta.action_counts,
-                            meta.codec, trunk_hidden=trunk_hidden,
-                            rep_size=rep, head_hidden=head_hidden)
-        _restore_net(model.net, arrays)
-    elif meta.model_kind == "policy":
-        model = PolicyModel(meta.trunk_dims[0], meta.head_dims[-1],
-                            trunk_hidden=trunk_hidden, rep_size=rep,
-                            head_hidden=head_hidden)
-        _restore_net(model.net, arrays)
-    elif meta.model_kind == "value":
-        model = ValueModel(meta.trunk_dims[0], meta.codec,
-                           trunk_hidden=trunk_hidden, rep_size=rep,
-                           head_hidden=head_hidden)
-        _restore_net(model.net, arrays)
-    else:
-        raise ValueError(f"unknown model kind {meta.model_kind!r}")
+    if meta.model_kind not in MODEL_KINDS:
+        raise ValueError(f"{path}: unknown model kind {meta.model_kind!r}")
+    cls, args = MODEL_KINDS[meta.model_kind]
+    model = cls(meta.trunk_dims[0], *args(meta),
+                trunk_hidden=meta.trunk_dims[1:-1],
+                rep_size=meta.trunk_dims[-1],
+                head_hidden=meta.head_dims[1:-1])
+    params = model.net.parameter_arrays()
+    if [p.shape for p in params] != [a.shape for a in arrays]:
+        raise ValueError(f"{path}: parameter shapes do not match the "
+                         f"metadata's dims")
+    for p, a in zip(params, arrays):
+        p[...] = a.astype(np.float64)
     return model, meta

@@ -26,8 +26,6 @@ DEFAULTS: dict = {
     "train.randomize_prob": (0.5, "per-trajectory probability that a player "
                                   "acts uniformly at random"),
     "train.value_backend": ("mlp", "'mlp' or 'tabular' value fitting"),
-    "train.tabular_cap": (100000, "max (state, joint action) pairs for the "
-                                  "tabular backend"),
     "train.patience": (5, "consecutive non-improving iterations before the "
                           "loop terminates"),
     "train.gate_matches": (100, "validation matches against the random "

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bandit import sample_index
+
 START_PROB_TOL = 1e-9
 
 
@@ -97,9 +99,17 @@ class Game(abc.ABC):
     def step(self, state: GameState, joint: tuple[int, ...]) -> StepResult:
         """Deterministic transition; raises IllegalActionError on bad input."""
 
-    @abc.abstractmethod
     def legal_actions(self, state: GameState, player: int) -> tuple[int, ...]:
-        """Nonempty subset of range(action_counts[player])."""
+        """Nonempty subset of range(action_counts[player]); by default
+        every action, until the game ends."""
+        if state.terminal:
+            raise ValueError("terminal state has no legal actions")
+        return self._all_actions[player]
+
+    @functools.cached_property
+    def _all_actions(self) -> tuple[tuple[int, ...], ...]:
+        """Each player's full action tuple, built once per game."""
+        return tuple(tuple(range(a)) for a in self.spec.action_counts)
 
     @abc.abstractmethod
     def observe(self, state: GameState, player: int) -> np.ndarray:
@@ -138,8 +148,9 @@ class Game(abc.ABC):
         return [s for s, _ in states], probs / total
 
     def sample_start(self, rng: np.random.Generator) -> GameState:
+        """A start state drawn by the one action sampler's rule."""
         states, probs = self._start_distribution
-        return states[rng.choice(len(states), p=probs)]
+        return states[sample_index(probs, rng)]
 
     def check_joint(self, state: GameState, joint: tuple[int, ...]):
         if len(joint) != self.spec.num_players:

@@ -67,11 +67,6 @@ class MatrixGame(Game):
     def start_states(self):
         return [(GameState(payload=(), timestep=0), 1.0)]
 
-    def legal_actions(self, state, player):
-        if state.terminal:
-            raise ValueError("terminal state has no legal actions")
-        return tuple(range(self.spec.action_counts[player]))
-
     def step(self, state, joint):
         self.check_joint(state, joint)
         rewards = tuple(float(x) for x in self.payoffs[tuple(joint)])
@@ -108,11 +103,6 @@ class RepeatedMatrixGame(Game):
     def start_states(self):
         zero = (0.0,) * self.spec.num_players
         return [(GameState(payload=zero, timestep=0), 1.0)]
-
-    def legal_actions(self, state, player):
-        if state.terminal:
-            raise ValueError("terminal state has no legal actions")
-        return tuple(range(self.spec.action_counts[player]))
 
     def step(self, state, joint):
         self.check_joint(state, joint)
@@ -158,11 +148,6 @@ class ChainGame(Game):
 
     def start_states(self):
         return [(GameState(payload=(), timestep=0), 1.0)]
-
-    def legal_actions(self, state, player):
-        if state.terminal:
-            raise ValueError("terminal state has no legal actions")
-        return tuple(range(self.spec.action_counts[player]))
 
     def step(self, state, joint):
         self.check_joint(state, joint)

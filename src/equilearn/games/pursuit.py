@@ -54,11 +54,6 @@ class PursuitGame(Game):
         return [(GameState(payload=(*layout, 0), timestep=0), prob)
                 for layout, prob in zip(self.spawns, self.spawn_probs)]
 
-    def legal_actions(self, state, player):
-        if state.terminal:
-            raise ValueError("terminal state has no legal actions")
-        return (0, 1, 2, 3, 4)
-
     def _move(self, pos, action):
         dx, dy = MOVES[action]
         x, y = pos[0] + dx, pos[1] + dy

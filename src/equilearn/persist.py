@@ -94,11 +94,21 @@ def _load(directory: str, game: Game | None, value_cls):
     return game, [policies[p] for p in range(n)], values
 
 
+def _named(directory: str, layer, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises names the
+    checkpoint directory and the layer (a timestep or ``all``) whose
+    value networks were refused."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{directory}: layer {layer}: {exc}") from exc
+
+
 def load_policy_agent(directory: str, game: Game | None = None,
                       name: str = "nncce") -> TrainedAgent:
     """Rebuild a TrainedAgent from a checkpoint directory."""
     game, policies, values = _load(directory, game, QValueModel)
-    sources = {h: MlpValueSource(game, models)
+    sources = {h: _named(directory, h, MlpValueSource, game, models)
                for h, models in values.items()}
     return TrainedAgent(game, policies, sources, name=name)
 
@@ -110,5 +120,5 @@ def load_smcts_agent(directory: str, game: Game | None = None,
     if list(values) != [-1]:
         raise ValueError(f"{directory}: expected value networks for "
                          f"timestep all, got timesteps {sorted(values)}")
-    return SmctsAgent(game, values[-1], policies,
-                      eval_simulations=eval_simulations, name=name)
+    return _named(directory, "all", SmctsAgent, game, values[-1], policies,
+                  eval_simulations=eval_simulations, name=name)

@@ -115,6 +115,10 @@ class MlpValueSource:
         return fill_shared(out, self.share_mode)
 
 
+# most (state, joint action) pairs a layer's value table may hold
+TABULAR_CAP = 100000
+
+
 def fit_layer_values(game: Game, records: list, cfg: Config, h: int,
                      iteration: int, rng: np.random.Generator):
     """Fit the per-layer value backend on edge records.
@@ -127,10 +131,9 @@ def fit_layer_values(game: Game, records: list, cfg: Config, h: int,
     if cfg["train.value_backend"] == "tabular":
         table = fit_tabular([(r.state.key(), r.joint, r.value)
                              for r in records])
-        cap = cfg["train.tabular_cap"]
-        if len(table) > cap:
+        if len(table) > TABULAR_CAP:
             raise ValueError(f"tabular backend over cap: "
-                             f"{len(table)} > {cap}")
+                             f"{len(table)} > {TABULAR_CAP}")
         return TabularValueSource(table), 0.0
 
     codec = SupportCodec()

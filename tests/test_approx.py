@@ -320,6 +320,17 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(str(path))
 
 
+# model class -> the metadata block of its checkpoint below:
+# (model_kind, head_kind, codec, action_counts, trunk dims, head dims)
+CHECKPOINT_META = {
+    QValueModel: ("q", "support", SupportCodec(num_bins=5), (2, 2),
+                  [3, 4, 3], [3 + 4, 4, 5]),
+    PolicyModel: ("policy", "policy", None, (), [3, 4, 3], [3, 4, 4]),
+    ValueModel: ("value", "support", SupportCodec(num_bins=5), (),
+                 [3, 4, 3], [3, 4, 5]),
+}
+
+
 @pytest.mark.parametrize("build", [
     lambda: QValueModel(3, (2, 2), SupportCodec(num_bins=5),
                         trunk_hidden=(4,), rep_size=3, head_hidden=(4,),
@@ -335,7 +346,9 @@ def test_model_checkpoint_roundtrip(tmp_path, build):
     save_model(path, model, game="chain:0", player=0, timestep=2)
     restored, meta = load_model(path)
     assert type(restored) is type(model)
-    assert meta.game == "chain:0" and meta.timestep == 2
+    assert (meta.game, meta.player, meta.timestep) == ("chain:0", 0, 2)
+    assert (meta.model_kind, meta.head_kind, meta.codec, meta.action_counts,
+            meta.trunk_dims, meta.head_dims) == CHECKPOINT_META[type(model)]
     for a, b in zip(model.net.parameter_arrays(),
                     restored.net.parameter_arrays()):
         # parameters survive at float32 precision
@@ -345,6 +358,19 @@ def test_model_checkpoint_roundtrip(tmp_path, build):
     save_model(path2, restored, game="chain:0", player=0, timestep=2)
     with open(path, "rb") as f1, open(path2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_save_model_refuses_a_non_model(tmp_path):
+    with pytest.raises(TypeError, match="cannot checkpoint dict"):
+        save_model(str(tmp_path / "x.ccef"), {"net": None})
+    assert not os.listdir(tmp_path)
+
+
+def test_load_model_refuses_an_unknown_model_kind(tmp_path):
+    path = str(tmp_path / "x.ccef")
+    save_checkpoint(path, CheckpointMeta(model_kind="tabular"), [])
+    with pytest.raises(ValueError, match="unknown model kind 'tabular'"):
+        load_model(path)
 
 
 def test_checkpoint_write_is_atomic(tmp_path):

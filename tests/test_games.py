@@ -62,6 +62,57 @@ def test_step_is_deterministic(game_id):
     assert a.rewards == b.rewards
 
 
+START_DRAWS = 10_000
+
+# every action is legal until the game ends
+ALL_LEGAL_IDS = ["matrix:mp", "matrix:rps", "matrix:pd", "pd2", "chain:0",
+                 "pursuit", "pursuit:5x5"]
+
+
+@pytest.mark.parametrize("game", [
+    *ALL_GAME_IDS,
+    PursuitGame(spawns=(((0, 0), (4, 4), (2, 2)), ((0, 4), (4, 0), (2, 2)),
+                        ((4, 4), (0, 0), (1, 3))),
+                spawn_probs=(0.7, 0.05, 0.25)),
+], ids=[*ALL_GAME_IDS, "pursuit-skewed"])
+def test_sample_start_is_numpys_weighted_draw(game):
+    """A start draw gives the start state and the generator state of
+    numpy's weighted ``choice``, draw for draw, so drawing it through the
+    action sampler changes no seeded stream."""
+    if isinstance(game, str):
+        game = game_from_id(game)
+    states = [s for s, _ in game.start_states()]
+    probs = np.array([p for _, p in game.start_states()])
+    probs = probs / probs.sum()
+    ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(START_DRAWS):
+        assert game.sample_start(ours) == states[numpys.choice(len(states),
+                                                               p=probs)]
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize("game_id", ALL_GAME_IDS)
+def test_legal_actions_until_the_game_ends(game_id):
+    """Along a play of each game's first legal actions, a game whose
+    actions are all legal returns the same ``tuple(range(A_p))`` object
+    at every state, and every game refuses a terminal state."""
+    game = game_from_id(game_id)
+    state = game.start_states()[0][0]
+    seen = {}
+    while not state.terminal:
+        legal = [game.legal_actions(state, p)
+                 for p in range(game.num_players)]
+        if game_id in ALL_LEGAL_IDS:
+            assert legal == [tuple(range(a))
+                             for a in game.spec.action_counts]
+            for p, arms in enumerate(legal):
+                assert seen.setdefault(p, arms) is arms
+        state = game.step(state, tuple(arms[0] for arms in legal)).next_state
+    for p in range(game.num_players):
+        with pytest.raises(ValueError, match="terminal state"):
+            game.legal_actions(state, p)
+
+
 def test_illegal_joint_raises():
     game = matching_pennies()
     state = game.start_states()[0][0]

@@ -139,7 +139,7 @@ def test_loaders_reject_value_players_against_share_mode(tmp_path, game_id,
                                                          players):
     """A directory whose value networks disagree with the game's share
     mode cannot come from a built agent, so it is written file by file;
-    both loaders refuse it."""
+    both loaders refuse it, naming the directory and the layer."""
     game = game_from_id(game_id)
     codec = SupportCodec(num_bins=5)
     q = {p: QValueModel(game.observation_size, game.spec.action_counts,
@@ -150,10 +150,13 @@ def test_loaders_reject_value_players_against_share_mode(tmp_path, game_id,
                        rep_size=3, head_hidden=(4,), seed=p)
          for p in players}
     _write_checkpoints(tmp_path / "smcts", game, game_id, v, timestep=-1)
-    with pytest.raises(ValueError, match="value networks for players"):
-        load_policy_agent(str(tmp_path / "policy"))
-    with pytest.raises(ValueError, match="value networks for players"):
-        load_smcts_agent(str(tmp_path / "smcts"))
+    for load, name, layer in [(load_policy_agent, "policy", "0"),
+                              (load_smcts_agent, "smcts", "all")]:
+        directory = str(tmp_path / name)
+        with pytest.raises(ValueError) as err:
+            load(directory)
+        assert str(err.value).startswith(
+            f"{directory}: layer {layer}: value networks for players")
 
 
 def test_save_refuses_tabular_value_sources(tmp_path):

@@ -471,11 +471,12 @@ def test_train_learns_dominant_action_in_pd():
         assert agent.policy(state, p)[1] > 0.8
 
 
-def test_tabular_cap_enforced():
+def test_tabular_cap_enforced(monkeypatch):
+    monkeypatch.setattr(trainer, "TABULAR_CAP", 3)
     cfg = Config({"game": "chain:1", "train.value_backend": "tabular",
                   "train.outer_iters": "1", "train.trajectories": "600",
                   "train.cv_trees": "1", "train.gate_matches": "4",
-                  "train.tabular_cap": "3", "cce.rounds": "100", **FAST_NET})
+                  "cce.rounds": "100", **FAST_NET})
     with pytest.raises(ValueError):
         train(cfg)
 
